@@ -26,9 +26,10 @@ use std::time::Instant;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).map(|a| a.to_lowercase()).collect();
-    // `--check` (consumed before experiment filtering) makes XB gate
-    // the sql backend's pipeline median against the encoded backend's —
-    // the CI bench-smoke leg fails when the batch executor regresses.
+    // `--check` (consumed before experiment filtering) turns XB's rows
+    // into gates — backend pipeline ratios, per-stage growth with the
+    // row count, sketches, service, spill cache — so the CI
+    // bench-smoke leg fails when one of them regresses.
     let check = args.iter().any(|a| a == "--check");
     args.retain(|a| a != "--check");
     let want = |id: &str| args.is_empty() || args.iter().any(|a| a == id);
@@ -278,7 +279,8 @@ fn x2() {
         let ind = dbre_core::ind_discovery(&mut db, &q, &mut oracle).unwrap();
         let lhs = dbre_core::lhs_discovery(&db, &ind.inds, &ind.new_relations);
         let t0 = Instant::now();
-        let rhs = dbre_core::rhs_discovery(&db, &lhs, &mut oracle, &RhsOptions::default());
+        let rhs = dbre_core::rhs_discovery(&db, &lhs, &mut oracle, &RhsOptions::default())
+            .expect("materialized extension");
         let paper_ms = t0.elapsed().as_secs_f64() * 1e3;
 
         let t0 = Instant::now();
@@ -398,7 +400,8 @@ fn x4() {
         let mut oracle = paper_oracle();
         let ind = dbre_core::ind_discovery(&mut db, &q, &mut oracle).unwrap();
         let lhs = dbre_core::lhs_discovery(&db, &ind.inds, &ind.new_relations);
-        let rhs = dbre_core::rhs_discovery(&db, &lhs, &mut oracle, &opts);
+        let rhs = dbre_core::rhs_discovery(&db, &lhs, &mut oracle, &opts)
+            .expect("materialized extension");
         println!("{:<28} {:>10} {:>10}", name, rhs.fd_checks, rhs.fds.len());
     }
 }
@@ -664,9 +667,13 @@ fn x8() {
 /// vs dictionary-encoded kernels — written to `BENCH_report.json` at
 /// the repository root (per-bench median ns + engine cache counters).
 ///
-/// With `check`, exits nonzero if the sql backend's end-to-end pipeline
-/// median exceeds 2x the encoded backend's (8 entities, 1k rows): the
-/// CI guard that the batch executor keeps carrying the SQL path.
+/// With `check`, the rows become gates, all at the end of this
+/// function; every gate runs, and the process exits nonzero after the
+/// last one if any failed. Among them: the sql backend's end-to-end
+/// pipeline median may not exceed 2x the encoded backend's (8
+/// entities, 1k rows) — the CI guard that the batch executor keeps
+/// carrying the SQL path — and `pipeline_scale` fails when a stage's
+/// time grows more than 20x for 10x the rows.
 fn xb(check: bool) {
     use dbre_mine::{check_hash, StrippedPartition};
     use dbre_relational::encode::{partition1_col, ColumnDict};
@@ -823,6 +830,11 @@ fn xb(check: bool) {
         ));
         backend_rows.push((choice.name(), ns));
     }
+
+    // Superlinearity gate: per-stage pipeline times at 8e/5k and
+    // 8e/50k. Runs in the --check smoke too, because only rows in the
+    // tens of thousands expose work that grows faster than the data.
+    let scale = pipeline_scale();
 
     // Sketch prefilter: IND candidate filtering at 8 entities / 50k
     // rows over the full cross-relation unary candidate space (every
@@ -1202,6 +1214,20 @@ fn xb(check: bool) {
         ));
     }
     json.push_str(&format!(
+        "  \"pipeline_scale\": {{ \"entities\": 8, \"rows\": [{}, {}], \
+         \"backend\": \"encoded\", \"best_of\": [{}, {}], \"stages\": [\n",
+        SCALE_ROWS.0, SCALE_ROWS.1, SCALE_RUNS.0, SCALE_RUNS.1
+    ));
+    for (i, (stage, small, large)) in scale.iter().enumerate() {
+        let sep = if i + 1 == scale.len() { "" } else { "," };
+        json.push_str(&format!(
+            "    {{ \"stage\": \"{stage}\", \"small_ms\": {small:.2}, \
+             \"large_ms\": {large:.2}, \"growth\": {:.2} }}{sep}\n",
+            large / small.max(1e-3)
+        ));
+    }
+    json.push_str("  ] },\n");
+    json.push_str(&format!(
         "  \"ingest\": {{ \"rows\": {}, \"streaming_rows_per_s\": {:.0}, \
          \"materialized_rows_per_s\": {:.0} }},\n",
         ingest.0, ingest.1, ingest.2
@@ -1284,6 +1310,17 @@ fn xb(check: bool) {
         );
     }
     println!(
+        "\n  pipeline scale ({} -> {} rows per entity, 8 entities, encoded, \
+         best of {} / {} runs):",
+        SCALE_ROWS.0, SCALE_ROWS.1, SCALE_RUNS.0, SCALE_RUNS.1
+    );
+    for (stage, small, large) in &scale {
+        println!(
+            "  {stage:<16} {small:>9.1} ms -> {large:>9.1} ms   ({:.1}x)",
+            large / small.max(1e-3)
+        );
+    }
+    println!(
         "\n  ingest to spill pages ({} rows, median of 3):",
         ingest.0
     );
@@ -1353,6 +1390,64 @@ fn xb(check: bool) {
     }
 
     if check {
+        // Every gate runs even after another has failed — one known
+        // failure must not switch off the rest — and the process exits
+        // 1 after the last gate if any failed.
+        let mut failures: Vec<String> = Vec::new();
+        let mut fail = |msg: String| {
+            eprintln!("FAIL: {msg}");
+            failures.push(msg);
+        };
+
+        // Superlinearity gate. 10x the rows may cost a stage at most
+        // 20x the time: linear work plus a generous allowance for
+        // cache effects and hashing at larger sizes. The ratio is
+        // machine-independent; stages under 50 ms at the large size
+        // are too small for it to mean anything. The small size's
+        // times are a few ms to a few tens of ms, so one noisy run
+        // can tip a linear stage over the line: like the timing gates
+        // below, it takes the best of three attempts (the first
+        // reuses the report's numbers), and a stage fails only when it
+        // blows the budget in every attempt.
+        let over_budget = |rows: &[(&'static str, f64, f64)]| -> Vec<&'static str> {
+            rows.iter()
+                .filter(|(_, small, large)| {
+                    *large >= SCALE_MIN_MS && *large > SCALE_MAX_GROWTH * small
+                })
+                .map(|(stage, _, _)| *stage)
+                .collect()
+        };
+        let mut over = over_budget(&scale);
+        let mut last = scale.clone();
+        for attempt in 2..=3 {
+            if over.is_empty() {
+                break;
+            }
+            last = pipeline_scale();
+            let again = over_budget(&last);
+            over.retain(|stage| again.contains(stage));
+            println!(
+                "\n  check attempt {attempt}: pipeline scale, over {SCALE_MAX_GROWTH}x: {}",
+                if again.is_empty() {
+                    "none".to_string()
+                } else {
+                    again.join(", ")
+                }
+            );
+        }
+        for stage in &over {
+            let (small, large) = last
+                .iter()
+                .find(|(name, _, _)| name == stage)
+                .map_or((f64::NAN, f64::NAN), |&(_, small, large)| (small, large));
+            fail(format!(
+                "stage {stage} grew more than {SCALE_MAX_GROWTH}x for {}x the rows in all \
+                 attempts (last: {small:.1} -> {large:.1} ms, {:.1}x)",
+                SCALE_ROWS.1 / SCALE_ROWS.0,
+                large / small.max(1e-3)
+            ));
+        }
+
         let of = |name: &str| {
             backend_rows
                 .iter()
@@ -1381,7 +1476,7 @@ fn xb(check: bool) {
                 ));
             })
         };
-        let gate = |name: &str, choice: dbre_core::BackendChoice, budget: f64| {
+        let gate = |name: &str, choice: dbre_core::BackendChoice, budget: f64| -> Option<String> {
             let mut best = f64::NAN;
             for attempt in 1..=3 {
                 let (numer, encoded) = if attempt == 1 {
@@ -1407,16 +1502,16 @@ fn xb(check: bool) {
                     break;
                 }
             }
-            if best.is_nan() || best > budget {
-                eprintln!(
-                    "FAIL: {name} backend pipeline median exceeds {budget}x encoded \
-                     in all attempts"
-                );
-                std::process::exit(1);
-            }
+            (best.is_nan() || best > budget).then(|| {
+                format!("{name} backend pipeline median exceeds {budget}x encoded in all attempts")
+            })
         };
-        gate("sql", dbre_core::BackendChoice::Sql, 2.0);
-        gate("paged", dbre_core::BackendChoice::Paged, 1.1);
+        if let Some(msg) = gate("sql", dbre_core::BackendChoice::Sql, 2.0) {
+            fail(msg);
+        }
+        if let Some(msg) = gate("paged", dbre_core::BackendChoice::Paged, 1.1) {
+            fail(msg);
+        }
 
         // Sketch gate. Verdict agreement is absolute — a pruned pair
         // whose synthesized stats differ from the exact kernel's is a
@@ -1426,8 +1521,7 @@ fn xb(check: bool) {
         // skip work, so losing time means the sketches stopped
         // paying for themselves).
         if !sketch_agree {
-            eprintln!("FAIL: sketch-pruned candidate verdicts diverged from the exact kernels");
-            std::process::exit(1);
+            fail("sketch-pruned candidate verdicts diverged from the exact kernels".into());
         }
         let mut ok = false;
         for attempt in 1..=3 {
@@ -1449,10 +1543,7 @@ fn xb(check: bool) {
             }
         }
         if !ok {
-            eprintln!(
-                "FAIL: sketch-pruned candidate filtering slower than exact-only in all attempts"
-            );
-            std::process::exit(1);
+            fail("sketch-pruned candidate filtering slower than exact-only in all attempts".into());
         }
 
         // Service gate. Determinism is absolute — logs diverging from
@@ -1471,7 +1562,8 @@ fn xb(check: bool) {
             let mut oracle = AutoOracle::default();
             let serial_log = dbre_core::run_with_q(sp.db.clone(), &qp, &mut oracle, &opts).log;
             let snapshot = dbre_relational::DbSnapshot::new(sp.db.clone());
-            let measure = |n: usize| {
+            // `Err` carries the session count whose logs diverged.
+            let measure = |n: usize| -> Result<(f64, f64), usize> {
                 let engine = shared_engine(&opts);
                 let report =
                     run_service(&snapshot, &engine, &qp, &opts, n, |_| AutoOracle::default());
@@ -1481,22 +1573,25 @@ fn xb(check: bool) {
                         .first()
                         .is_none_or(|o| o.result.log == serial_log);
                 if !agree {
-                    eprintln!(
-                        "FAIL: concurrent session logs diverged from the serial run \
-                         ({n} sessions)"
-                    );
-                    std::process::exit(1);
+                    return Err(n);
                 }
                 let p99 = report
                     .presumption_percentiles()
                     .map(|(_, p99)| p99.as_secs_f64() * 1e9)
                     .unwrap_or(0.0);
-                (report.sessions_per_sec(), p99)
+                Ok((report.sessions_per_sec(), p99))
             };
             let mut ok = false;
+            let mut diverged = None;
             for attempt in 1..=3 {
-                let (sps1, p99_1) = measure(1);
-                let (sps8, p99_8) = measure(8);
+                let ((sps1, p99_1), (sps8, p99_8)) =
+                    match measure(1).and_then(|solo| measure(8).map(|eight| (solo, eight))) {
+                        Ok(pair) => pair,
+                        Err(n) => {
+                            diverged = Some(n);
+                            break;
+                        }
+                    };
                 let p99_budget = p99_1.max(10_000.0) * 100.0;
                 println!(
                     "\n  check attempt {attempt}: service 1 -> 8 sessions, throughput \
@@ -1511,12 +1606,16 @@ fn xb(check: bool) {
                     break;
                 }
             }
-            if !ok {
-                eprintln!(
-                    "FAIL: 8-session service lost throughput vs solo or blew the p99 \
+            if let Some(n) = diverged {
+                fail(format!(
+                    "concurrent session logs diverged from the serial run ({n} sessions)"
+                ));
+            } else if !ok {
+                fail(
+                    "8-session service lost throughput vs solo or blew the p99 \
                      presumption-latency budget in all attempts"
+                        .into(),
                 );
-                std::process::exit(1);
             }
         }
 
@@ -1546,10 +1645,68 @@ fn xb(check: bool) {
         );
         std::fs::remove_dir_all(&dir).ok();
         if cold.from_cache() || !warm.from_cache() {
-            eprintln!("FAIL: warm --spill-dir rerun must skip the encode (cold miss, warm hit)");
+            fail("warm --spill-dir rerun must skip the encode (cold miss, warm hit)".into());
+        }
+
+        if !failures.is_empty() {
+            eprintln!("{} check gate(s) failed", failures.len());
             std::process::exit(1);
         }
     }
+}
+
+/// Rows per entity of the two `pipeline_scale` sizes.
+const SCALE_ROWS: (usize, usize) = (5_000, 50_000);
+/// Runs at each size; each stage keeps its fastest time. The small
+/// size's stages take milliseconds, so it gets more runs, and they are
+/// cheap.
+const SCALE_RUNS: (usize, usize) = (5, 3);
+/// Stages faster than this at the large size are not gated.
+const SCALE_MIN_MS: f64 = 50.0;
+/// Largest allowed time growth of a gated stage between the sizes.
+const SCALE_MAX_GROWTH: f64 = 20.0;
+
+/// Per-stage pipeline wall time (ms) at `SCALE_ROWS.0` and
+/// `SCALE_ROWS.1` rows per entity — 8 entities, encoded backend,
+/// `AutoOracle`, the fastest of `SCALE_RUNS` runs per stage.
+fn pipeline_scale() -> Vec<(&'static str, f64, f64)> {
+    let best_stage_ms = |rows: usize, runs: usize| -> Vec<(&'static str, f64)> {
+        let s = scenario(8, rows, 42);
+        let q = dbre_extract::extract_programs(
+            &s.db.schema,
+            &s.programs,
+            &dbre_extract::ExtractConfig::default(),
+        )
+        .q();
+        let opts = PipelineOptions {
+            backend: dbre_core::BackendChoice::Encoded,
+            ..Default::default()
+        };
+        let mut best: Vec<(&'static str, f64)> = Vec::new();
+        for _ in 0..runs {
+            let mut oracle = AutoOracle::default();
+            let r = dbre_core::run_with_q(s.db.clone(), &q, &mut oracle, &opts);
+            for (stage, d) in r.stats.stage_timings {
+                let ms = d.as_secs_f64() * 1e3;
+                match best.iter_mut().find(|(name, _)| *name == stage) {
+                    Some(entry) => entry.1 = entry.1.min(ms),
+                    None => best.push((stage, ms)),
+                }
+            }
+        }
+        best
+    };
+    let small = best_stage_ms(SCALE_ROWS.0, SCALE_RUNS.0);
+    let large = best_stage_ms(SCALE_ROWS.1, SCALE_RUNS.1);
+    large
+        .into_iter()
+        .filter_map(|(stage, large_ms)| {
+            small
+                .iter()
+                .find(|(name, _)| *name == stage)
+                .map(|&(_, small_ms)| (stage, small_ms, large_ms))
+        })
+        .collect()
 }
 
 /// Writes the synthetic three-column CSV used by the ingest and

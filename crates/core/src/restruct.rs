@@ -23,10 +23,13 @@
 use crate::ind_discovery::unique_name;
 use crate::oracle::{DecisionRecord, NamingContext, NewRelationReason, Oracle};
 use dbre_relational::attr::{AttrId, AttrSet};
+use dbre_relational::backend::{column_dicts, CountBackend};
 use dbre_relational::database::Database;
 use dbre_relational::deps::{Fd, Ind, IndSide};
+use dbre_relational::encode::{decode_rows_cols, first_rows_cols, plurality_cols, ColumnDict};
 use dbre_relational::schema::{QualAttrs, RelId, Relation};
-use dbre_relational::{Attribute, DbreError, RelationalError};
+use dbre_relational::{Attribute, DbreError, FxHashMap, RelationalError, Table};
+use std::sync::Arc;
 
 /// Result of Restruct.
 #[derive(Debug, Clone, Default)]
@@ -115,6 +118,10 @@ fn validate_inputs(
 /// Runs Restruct. Mutates `db` in place: adds the new relations,
 /// removes split-off attributes, extends `K`.
 ///
+/// The new relations' extensions are computed over `engine`'s column
+/// dictionaries; FD splits reuse the `lhs_groups` entries that
+/// RHS-Discovery's probes cached in it.
+///
 /// Fallible: malformed inputs (out-of-range ids, empty attribute sets,
 /// mismatched IND arity) are rejected upfront with a typed error,
 /// before any mutation. `db` is only modified on the `Ok` path and by
@@ -126,6 +133,7 @@ pub fn restruct(
     hidden: &[QualAttrs],
     inds: &[Ind],
     oracle: &mut dyn Oracle,
+    engine: &dyn CountBackend,
 ) -> Result<Restructured, DbreError> {
     validate_inputs(db, fds, hidden, inds)?;
     let mut out = Restructured {
@@ -160,7 +168,7 @@ pub fn restruct(
             format!("new relation {name}"),
         ));
 
-        let table = db.table(h.rel).distinct_subtable(&attr_ids);
+        let table = hidden_table(db, h.rel, &attr_ids, engine)?;
         let rel_p = db.add_relation_with_table(Relation::new(name, attrs)?, table)?;
         let p_attrs: Vec<AttrId> = (0..attr_ids.len() as u16).map(AttrId).collect();
         db.constraints
@@ -215,7 +223,7 @@ pub fn restruct(
         // the structure then "no longer matches the database
         // extension". We repair by keeping, per key value, the most
         // frequent right-hand side (g3-style minimal change).
-        let table = fd_repaired_subtable(db.table(fd.rel), &a_ids, &b_ids)?;
+        let table = fd_split_table(db, fd.rel, &a_ids, &b_ids, engine)?;
         let rel_p = db.add_relation_with_table(Relation::new(name, attrs)?, table)?;
         // Key of the new relation: its A_i prefix.
         let p_a: Vec<AttrId> = (0..a_ids.len() as u16).map(AttrId).collect();
@@ -257,48 +265,77 @@ pub fn restruct(
     Ok(out)
 }
 
+/// The projections on `attrs` as borrowed dictionaries.
+fn dict_refs(dicts: &[Arc<ColumnDict>]) -> Vec<&ColumnDict> {
+    dicts.iter().map(Arc::as_ref).collect()
+}
+
+/// Builds the extension of a hidden-object relation `R_p(A)`: the
+/// distinct non-null `A` projections, in first-seen order, taken
+/// straight off the `A` codes. It deliberately bypasses the engine's
+/// `lhs_groups` cache: an engine shared by concurrent sessions
+/// maintains every cached group entry on each committed write, and a
+/// projection read once here must not add entries that every later
+/// commit pays to remap.
+fn hidden_table(
+    db: &Database,
+    rel: RelId,
+    attrs: &[AttrId],
+    engine: &dyn CountBackend,
+) -> Result<Table, DbreError> {
+    let dicts = column_dicts(engine, db, rel, attrs)?;
+    let cols = dict_refs(&dicts);
+    Ok(decode_rows_cols(
+        &cols,
+        &first_rows_cols(&cols, db.table(rel).len()),
+    )?)
+}
+
 /// Builds the extension of an FD-split relation `R_p(A B)`: one tuple
-/// per distinct non-null `A` value, carrying the *plurality* `B` value
-/// observed for it (ties broken by first occurrence). Identical to the
-/// distinct projection whenever `A → B` actually holds.
-fn fd_repaired_subtable(
-    table: &dbre_relational::Table,
+/// per distinct non-null `A` value, in first-seen order, carrying the
+/// *plurality* `B` value observed for it (ties broken by first
+/// occurrence). Identical to the distinct projection whenever `A → B`
+/// actually holds.
+///
+/// The `A` groups are the engine's cached `lhs_groups` entry (the one
+/// RHS-Discovery's `A → b` probes built; a unary key needs none), the
+/// plurality comes from the coded kernel, and only the chosen output
+/// rows are decoded.
+fn fd_split_table(
+    db: &Database,
+    rel: RelId,
     a_ids: &[AttrId],
     b_ids: &[AttrId],
-) -> Result<dbre_relational::Table, DbreError> {
-    use std::collections::HashMap;
-    type Row = Vec<dbre_relational::Value>;
-    // key -> (first-seen order, rhs -> (count, first index))
-    let mut order: Vec<Row> = Vec::new();
-    let mut groups: HashMap<Row, HashMap<Row, (usize, usize)>> = HashMap::new();
-    for i in 0..table.len() {
-        if table.row_has_null(i, a_ids) {
-            continue;
-        }
-        let key = table.project_row(i, a_ids);
-        let val = table.project_row(i, b_ids);
-        let entry = groups.entry(key.clone()).or_insert_with(|| {
-            order.push(key);
-            HashMap::new()
-        });
-        let slot = entry.entry(val).or_insert((0, i));
-        slot.0 += 1;
-    }
-    let mut out = dbre_relational::Table::new(a_ids.len() + b_ids.len());
-    for key in order {
-        let rhss = &groups[&key];
-        // Every group received at least one RHS when it was created.
-        let Some(best) = rhss
+    engine: &dyn CountBackend,
+) -> Result<Table, DbreError> {
+    let a_dicts = column_dicts(engine, db, rel, a_ids)?;
+    let b_dicts = column_dicts(engine, db, rel, b_ids)?;
+    let (a_cols, b_cols) = (dict_refs(&a_dicts), dict_refs(&b_dicts));
+    // A key seen on several rows is first seen on its group's first
+    // row; that row's output carries the group's plurality row instead.
+    // Keys on a single row are not grouped and output themselves.
+    //
+    // A unary `A` whose dictionary proves it a key has no such group.
+    // It skips the group cache: RHS-Discovery never filled that entry
+    // when a sketch proved the key, and Restruct must add none.
+    let unary_key =
+        matches!(a_cols.as_slice(), [a] if a.cardinality() + a.null_count() == a.rows());
+    let winner: FxHashMap<usize, usize> = if unary_key {
+        FxHashMap::default()
+    } else {
+        let groups = engine.lhs_groups(db, rel, a_ids);
+        groups
             .iter()
-            .min_by_key(|(_, (count, first))| (std::cmp::Reverse(*count), *first))
-        else {
-            continue;
-        };
-        let mut row = key.clone();
-        row.extend(best.0.iter().cloned());
-        out.push_row(row)?;
-    }
-    Ok(out)
+            .zip(plurality_cols(&groups, &b_cols))
+            .map(|(g, p)| (g[0], p.row))
+            .collect()
+    };
+    let rows: Vec<usize> = first_rows_cols(&a_cols, db.table(rel).len())
+        .into_iter()
+        .map(|i| winner.get(&i).copied().unwrap_or(i))
+        .collect();
+    let all_cols: Vec<&ColumnDict> = a_cols.iter().chain(&b_cols).copied().collect();
+    Ok(decode_rows_cols(&all_cols, &rows)?)
 }
 
 /// Redirects IND sides from `(rel, attrs)` to `(new_rel, new_attrs)`.
@@ -437,6 +474,7 @@ mod tests {
     use super::*;
     use crate::oracle::{DenyOracle, ScriptedOracle};
     use dbre_relational::value::{Domain, Value};
+    use dbre_relational::StatsEngine;
 
     /// Department(dep key, emp, skill, location, proj) + Project-ish
     /// Assignment(emp, dep, proj, date, pname) with keys as in §5.
@@ -512,7 +550,7 @@ mod tests {
         let (mut db, dept, _) = db();
         let h = QualAttrs::new(dept, AttrSet::from_indices([1u16]));
         let mut oracle = ScriptedOracle::new().name("hidden:Department.{emp}", "Employee");
-        let out = restruct(&mut db, &[], &[h], &[], &mut oracle).unwrap();
+        let out = restruct(&mut db, &[], &[h], &[], &mut oracle, &StatsEngine::new()).unwrap();
         assert_eq!(out.hidden_relations.len(), 1);
         let employee = db.rel("Employee").unwrap();
         assert_eq!(db.table(employee).len(), 2); // distinct emps {1, 2}
@@ -536,7 +574,15 @@ mod tests {
         // Existing IND Department[emp] << Assignment[emp].
         let existing = Ind::unary(dept, AttrId(1), assign, AttrId(0));
         let mut oracle = ScriptedOracle::new().name("hidden:Assignment.{emp}", "Employee");
-        let out = restruct(&mut db, &[], &[h], &[existing], &mut oracle).unwrap();
+        let out = restruct(
+            &mut db,
+            &[],
+            &[h],
+            &[existing],
+            &mut oracle,
+            &StatsEngine::new(),
+        )
+        .unwrap();
         let rendered: Vec<String> = out.inds.iter().map(|i| i.render(&db.schema)).collect();
         assert!(rendered.contains(&"Department[emp] << Employee[emp]".to_string()));
         assert!(rendered.contains(&"Assignment[emp] << Employee[emp]".to_string()));
@@ -553,7 +599,7 @@ mod tests {
             AttrSet::from_indices([2u16, 4u16]),
         );
         let mut oracle = ScriptedOracle::new().name("fd:Department: emp -> skill, proj", "Manager");
-        let out = restruct(&mut db, &[fd], &[], &[], &mut oracle).unwrap();
+        let out = restruct(&mut db, &[fd], &[], &[], &mut oracle, &StatsEngine::new()).unwrap();
         assert_eq!(out.fd_relations.len(), 1);
         // Department lost skill and proj.
         let dept_rel = db.schema.relation(dept);
@@ -609,7 +655,15 @@ mod tests {
         let mut oracle = ScriptedOracle::new()
             .name("fd:Assignment: proj -> project-name", "Project")
             .name("fd:Department: emp -> skill, proj", "Manager");
-        let out = restruct(&mut db, &fds, &[], &[existing], &mut oracle).unwrap();
+        let out = restruct(
+            &mut db,
+            &fds,
+            &[],
+            &[existing],
+            &mut oracle,
+            &StatsEngine::new(),
+        )
+        .unwrap();
         let rendered: Vec<String> = out.inds.iter().map(|i| i.render(&db.schema)).collect();
         assert!(
             rendered.contains(&"Manager[proj] << Project[proj]".to_string()),
@@ -631,7 +685,15 @@ mod tests {
         let keyed = Ind::unary(assign, AttrId(1), dept, AttrId(0));
         // Department[emp] << Assignment[emp] — Assignment.emp not a key.
         let unkeyed = Ind::unary(dept, AttrId(1), assign, AttrId(0));
-        let out = restruct(&mut db, &[], &[], &[keyed, unkeyed], &mut DenyOracle).unwrap();
+        let out = restruct(
+            &mut db,
+            &[],
+            &[],
+            &[keyed, unkeyed],
+            &mut DenyOracle,
+            &StatsEngine::new(),
+        )
+        .unwrap();
         assert_eq!(out.inds.len(), 2);
         assert_eq!(out.ric.len(), 1);
         assert_eq!(
@@ -644,7 +706,15 @@ mod tests {
     fn default_names_used_without_script() {
         let (mut db, dept, _) = db();
         let h = QualAttrs::new(dept, AttrSet::from_indices([1u16]));
-        let out = restruct(&mut db, &[], &[h], &[], &mut DenyOracle).unwrap();
+        let out = restruct(
+            &mut db,
+            &[],
+            &[h],
+            &[],
+            &mut DenyOracle,
+            &StatsEngine::new(),
+        )
+        .unwrap();
         let name = &db.schema.relation(out.hidden_relations[0]).name;
         assert_eq!(name, "Department_emp");
     }
@@ -663,7 +733,15 @@ mod tests {
             AttrSet::from_indices([1u16]),
             AttrSet::from_indices([2u16, 4u16]),
         );
-        let out = restruct(&mut db, &[fd], &[], &[straddle], &mut DenyOracle).unwrap();
+        let out = restruct(
+            &mut db,
+            &[fd],
+            &[],
+            &[straddle],
+            &mut DenyOracle,
+            &StatsEngine::new(),
+        )
+        .unwrap();
         assert!(!out.warnings.is_empty());
         assert_eq!(out.inds.len(), 1); // only the linking IND survives
     }

@@ -20,13 +20,16 @@
 use crate::lhs_discovery::LhsDiscovery;
 use crate::oracle::{DecisionRecord, FdContext, HiddenContext, Oracle};
 use dbre_relational::attr::{AttrId, AttrSet};
-use dbre_relational::backend::CountBackend;
+use dbre_relational::backend::{column_dicts, CountBackend};
 use dbre_relational::database::Database;
 use dbre_relational::deps::Fd;
+use dbre_relational::encode::{non_null_rows_cols, plurality_cols, ColumnDict};
 use dbre_relational::par::par_map;
 use dbre_relational::schema::QualAttrs;
 use dbre_relational::sketch::{SketchMode, SketchPruneStats};
 use dbre_relational::stats::StatsEngine;
+use dbre_relational::DbreError;
+use std::sync::Arc;
 
 /// Options controlling RHS-Discovery (the ablation knobs).
 #[derive(Debug, Clone)]
@@ -75,33 +78,39 @@ pub fn rhs_discovery(
     input: &LhsDiscovery,
     oracle: &mut dyn Oracle,
     options: &RhsOptions,
-) -> RhsDiscovery {
+) -> Result<RhsDiscovery, DbreError> {
     rhs_discovery_with_stats(db, input, oracle, options, &StatsEngine::new())
 }
 
-/// `g3` error of a failing FD, safe for streamed extensions.
+/// `g3` error of an FD: the fraction of non-NULL-LHS rows to delete
+/// for it to hold — the number the expert is shown when an `A → b`
+/// test fails. Same value as the `Value`-level [`dbre_mine::fd_error`].
 ///
-/// Materialized tables go through the raw-column scan in
-/// [`dbre_mine::fd_error_db`]. A streamed extension has empty raw
-/// columns, so its error is computed over the backend-served
-/// dictionary codes instead — same number, no hydration. A streamed
-/// table whose backend cannot serve a dictionary is a wiring bug
-/// (adoption installs the pages before discovery runs), so that case
-/// fails loudly rather than inventing an error value.
-fn fd_error_for(db: &Database, fd: &Fd, engine: &dyn CountBackend) -> f64 {
-    if db.table(fd.rel).is_materialized() {
-        return dbre_mine::fd_error_db(db, fd);
+/// The row groups are the engine's cached `lhs_groups` entry, which
+/// the failing `fd_holds` probe has just built, and the plurality RHS
+/// per group comes from the coded kernel
+/// ([`plurality_cols`]) over the backend's dictionaries — no
+/// `Value` is hashed and nothing is allocated per row. Streamed
+/// extensions take the same path; one whose backend serves no
+/// dictionary is a typed error.
+pub fn g3_error(db: &Database, fd: &Fd, engine: &dyn CountBackend) -> Result<f64, DbreError> {
+    let lhs: Vec<AttrId> = fd.lhs.iter().collect();
+    let rhs: Vec<AttrId> = fd.rhs.iter().collect();
+    let lhs_dicts = column_dicts(engine, db, fd.rel, &lhs)?;
+    let lhs_cols: Vec<&ColumnDict> = lhs_dicts.iter().map(Arc::as_ref).collect();
+    let considered = non_null_rows_cols(&lhs_cols, db.table(fd.rel).len());
+    if considered == 0 {
+        return Ok(0.0);
     }
-    let dict_of = |a: AttrId| {
-        engine.column_dict(db, fd.rel, a).unwrap_or_else(|| {
-            panic!("streamed extension must have backend-served column dictionaries")
-        })
-    };
-    let lhs: Vec<_> = fd.lhs.iter().map(dict_of).collect();
-    let rhs: Vec<_> = fd.rhs.iter().map(dict_of).collect();
-    let lhs_codes: Vec<&[u32]> = lhs.iter().map(|d| d.codes()).collect();
-    let rhs_codes: Vec<&[u32]> = rhs.iter().map(|d| d.codes()).collect();
-    dbre_mine::fd_error_coded(&lhs_codes, &rhs_codes, db.table(fd.rel).len())
+    let rhs_dicts = column_dicts(engine, db, fd.rel, &rhs)?;
+    let rhs_cols: Vec<&ColumnDict> = rhs_dicts.iter().map(Arc::as_ref).collect();
+    let groups = engine.lhs_groups(db, fd.rel, &lhs);
+    let violations: usize = groups
+        .iter()
+        .zip(plurality_cols(&groups, &rhs_cols))
+        .map(|(g, p)| g.len() - p.count)
+        .sum();
+    Ok(violations as f64 / considered as f64)
 }
 
 /// Runs RHS-Discovery with `A → b` extension tests memoized in
@@ -112,7 +121,7 @@ pub fn rhs_discovery_with_stats(
     oracle: &mut dyn Oracle,
     options: &RhsOptions,
     engine: &dyn CountBackend,
-) -> RhsDiscovery {
+) -> Result<RhsDiscovery, DbreError> {
     rhs_discovery_sketched(db, input, oracle, options, engine, SketchMode::from_env())
 }
 
@@ -132,6 +141,9 @@ pub fn rhs_discovery_with_stats(
 /// every group is a single row, so every `A → b` trivially holds. The
 /// outcome (`B`, the log, `fd_checks`) is byte-identical to running
 /// the probes.
+///
+/// Fails only when a failing FD's `g3` error cannot be computed: a
+/// streamed extension whose backend serves no column dictionary.
 pub fn rhs_discovery_sketched(
     db: &Database,
     input: &LhsDiscovery,
@@ -139,7 +151,7 @@ pub fn rhs_discovery_sketched(
     options: &RhsOptions,
     engine: &dyn CountBackend,
     mode: SketchMode,
-) -> RhsDiscovery {
+) -> Result<RhsDiscovery, DbreError> {
     let mut out = RhsDiscovery {
         hidden: input.hidden.clone(),
         ..Default::default()
@@ -207,7 +219,7 @@ pub fn rhs_discovery_sketched(
             if holds {
                 b.insert(cand_attr);
             } else {
-                let error = fd_error_for(db, fd, engine);
+                let error = g3_error(db, fd, engine)?;
                 let enforced = oracle.enforce_fd(&FdContext { db, fd, error });
                 out.log.push(DecisionRecord::new(
                     "RHS-Discovery/enforce",
@@ -278,7 +290,7 @@ pub fn rhs_discovery_sketched(
         // `B = ∅` with `from_hidden = true`: the element simply stays
         // in `H` (it was already conceptualized).
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -353,7 +365,8 @@ mod tests {
             &input(&db, dept, &[1], false),
             &mut DenyOracle,
             &RhsOptions::default(),
-        );
+        )
+        .unwrap();
         // T = {skill, location, proj} minus key {dep} minus (A=emp ∉ N)
         // the not-null set {location, dep} → {skill, proj}: 2 checks.
         assert_eq!(out.fd_checks, 2);
@@ -377,7 +390,8 @@ mod tests {
             &input(&db, dept, &[1], false),
             &mut DenyOracle,
             &no_prune,
-        );
+        )
+        .unwrap();
         // T = {dep, skill, location, proj}: 4 checks.
         assert_eq!(out.fd_checks, 4);
         // emp -> location fails (emp=1 has lyon & paris) and dep is the
@@ -399,7 +413,8 @@ mod tests {
             &input(&db, dept, &[3], false),
             &mut oracle,
             &RhsOptions::default(),
-        );
+        )
+        .unwrap();
         assert!(out.fds.is_empty());
         assert_eq!(out.hidden.len(), 1);
         assert_eq!(out.hidden[0].render(&db.schema), "Department.{location}");
@@ -413,7 +428,8 @@ mod tests {
             &input(&db, dept, &[3], false),
             &mut DenyOracle,
             &RhsOptions::default(),
-        );
+        )
+        .unwrap();
         assert!(out.hidden.is_empty());
         assert_eq!(out.given_up.len(), 1);
     }
@@ -426,7 +442,8 @@ mod tests {
             &input(&db, dept, &[1], true),
             &mut DenyOracle,
             &RhsOptions::default(),
-        );
+        )
+        .unwrap();
         assert_eq!(out.fds.len(), 1);
         assert!(out.hidden.is_empty(), "conceptualized in F, removed from H");
     }
@@ -439,7 +456,8 @@ mod tests {
             &input(&db, dept, &[3], true),
             &mut DenyOracle,
             &RhsOptions::default(),
-        );
+        )
+        .unwrap();
         assert!(out.fds.is_empty());
         assert_eq!(out.hidden.len(), 1);
     }
@@ -458,7 +476,8 @@ mod tests {
             &input(&db, dept, &[1], false),
             &mut oracle,
             &no_null_prune,
-        );
+        )
+        .unwrap();
         assert_eq!(
             out.fds[0].render(&db.schema),
             "Department: emp -> skill, location, proj"
@@ -474,7 +493,8 @@ mod tests {
             &input(&db, dept, &[1], false),
             &mut oracle,
             &RhsOptions::default(),
-        );
+        )
+        .unwrap();
         assert!(out.fds.is_empty());
         assert_eq!(out.given_up.len(), 1);
     }
@@ -489,7 +509,8 @@ mod tests {
             &input(&db, dept, &[0], false),
             &mut DenyOracle,
             &RhsOptions::default(),
-        );
+        )
+        .unwrap();
         assert_eq!(out.fd_checks, 4);
         // dep is a key, so it determines everything.
         assert_eq!(

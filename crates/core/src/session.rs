@@ -487,7 +487,7 @@ impl Stage for RhsDiscoveryStage {
             &s.options.rhs,
             &*s.engine,
             s.options.sketch,
-        );
+        )?;
         s.record_all(&out.log);
         s.stats.sketch.merge(&out.sketch);
         s.rhs = out;
@@ -514,6 +514,7 @@ impl Stage for RestructStage {
             &s.rhs.hidden,
             &s.ind.inds,
             &mut *s.oracle,
+            &*s.engine,
         )?;
         s.record_all(&out.log);
         s.restructured = out;
@@ -521,18 +522,16 @@ impl Stage for RestructStage {
     }
 }
 
-/// Restruct rewrites extensions through raw value columns
-/// (`drop_columns`, `distinct_subtable`), so streamed extensions must
-/// come back to memory first. The discovery stages before this point
-/// ran entirely over the spilled pages; only the final rewrite pays
-/// for materialization, and it decodes from the already-encoded pages
-/// (dictionary codes → values) rather than re-parsing any source.
-/// Hydration failure is a typed stage error — never a silent
-/// empty-column rewrite.
+/// Restruct drops split-off attributes from the raw value columns
+/// (`drop_columns`), so streamed extensions must come back to memory
+/// first. The discovery stages before this point ran entirely over the
+/// spilled pages; only the final rewrite pays for materialization, and
+/// it decodes from the already-encoded pages (dictionary codes →
+/// values) rather than re-parsing any source. Hydration failure is a
+/// typed stage error — never a silent empty-column rewrite.
 fn hydrate_streamed(s: &mut DbreSession<'_>) -> Result<(), DbreError> {
     use dbre_relational::attr::AttrId;
-    use dbre_relational::backend::CountBackend;
-    use dbre_relational::pages::PageError;
+    use dbre_relational::backend::column_dicts;
     use dbre_relational::value::Value;
 
     let rels: Vec<_> = s.db.schema.iter().map(|(rel, _)| rel).collect();
@@ -540,16 +539,11 @@ fn hydrate_streamed(s: &mut DbreSession<'_>) -> Result<(), DbreError> {
         if s.db.table(rel).is_materialized() {
             continue;
         }
-        let arity = s.db.schema.relation(rel).arity();
-        for i in 0..arity {
-            let attr = AttrId(i as u16);
-            let dict = s.engine.column_dict(&s.db, rel, attr).ok_or_else(|| {
-                DbreError::Page(PageError::Io(format!(
-                    "cannot hydrate streamed column `{}` of `{}` for restructuring",
-                    s.db.schema.relation(rel).attr_name(attr),
-                    s.db.schema.relation(rel).name,
-                )))
-            })?;
+        let attrs: Vec<AttrId> = (0..s.db.schema.relation(rel).arity())
+            .map(|i| AttrId(i as u16))
+            .collect();
+        let dicts = column_dicts(&*s.engine, &s.db, rel, &attrs)?;
+        for (attr, dict) in attrs.into_iter().zip(dicts) {
             let values: Vec<Value> = dict
                 .codes()
                 .iter()
@@ -687,5 +681,79 @@ mod tests {
         assert_eq!(session.warnings.len(), 1);
         assert_eq!(session.stats.stage_timings.len(), 1, "failures are timed");
         assert!(session.ind.inds.is_empty(), "outputs stay at defaults");
+    }
+
+    #[test]
+    fn rhs_stage_reports_a_streamed_table_without_dictionaries_as_a_typed_error() {
+        use dbre_relational::attr::{AttrId, AttrSet};
+        use dbre_relational::counting::JoinStats;
+        use dbre_relational::deps::Fd;
+        use dbre_relational::encode::ColumnDict;
+        use dbre_relational::pages::{PageFile, PagedColumn};
+        use dbre_relational::schema::{QualAttrs, RelId, Relation};
+        use dbre_relational::spill::SpilledTable;
+        use dbre_relational::value::{Domain, Value};
+        use dbre_relational::CountBackend;
+
+        /// A paged backend that answers every probe but serves no
+        /// column dictionaries.
+        struct NoDicts(PagedBackend);
+        impl CountBackend for NoDicts {
+            fn name(&self) -> &'static str {
+                "no-dicts"
+            }
+            fn count_distinct(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> usize {
+                self.0.count_distinct(db, rel, attrs)
+            }
+            fn join_stats(&self, db: &Database, join: &EquiJoin) -> JoinStats {
+                self.0.join_stats(db, join)
+            }
+            fn lhs_groups(
+                &self,
+                db: &Database,
+                rel: RelId,
+                attrs: &[AttrId],
+            ) -> Arc<Vec<Vec<usize>>> {
+                self.0.lhs_groups(db, rel, attrs)
+            }
+            fn fd_holds(&self, db: &Database, fd: &Fd) -> bool {
+                self.0.fd_holds(db, fd)
+            }
+        }
+
+        // S(x, y) with x -> y failing, streamed to pages.
+        let column = |vals: &[i64]| vals.iter().map(|&v| Value::Int(v)).collect::<Vec<_>>();
+        let spilled_columns = [column(&[1, 1, 2]), column(&[1, 2, 3])]
+            .iter()
+            .map(|c| {
+                let dict = ColumnDict::build(c);
+                let file = PageFile::spill(dict.codes()).expect("spill to temp dir");
+                Arc::new(PagedColumn::new(Arc::new(dict.slim()), file))
+            })
+            .collect();
+        let mut db = Database::new();
+        let rel = db
+            .add_relation(Relation::of("S", &[("x", Domain::Int), ("y", Domain::Int)]))
+            .expect("fresh schema");
+        db.set_streamed_extension(rel, 3);
+        let paged = PagedBackend::new();
+        paged.adopt_spilled(&db, rel, &SpilledTable::new(spilled_columns, 3, false));
+        let engine = Arc::new(StatsEngine::with_backend(Box::new(NoDicts(paged))));
+
+        let mut oracle = AutoOracle::default();
+        let mut session =
+            DbreSession::with_engine(db, &mut oracle, PipelineOptions::default(), engine);
+        session.lhs = LhsDiscovery {
+            lhs: vec![QualAttrs::new(rel, AttrSet::from_indices([0u16]))],
+            hidden: vec![],
+        };
+        session.run_stage(&RhsDiscoveryStage);
+        assert_eq!(session.stage_errors.len(), 1);
+        assert_eq!(session.stage_errors[0].stage, "rhs-discovery");
+        assert!(
+            matches!(session.stage_errors[0].error, DbreError::Page(_)),
+            "{:?}",
+            session.stage_errors[0].error
+        );
     }
 }

@@ -73,7 +73,7 @@ proptest! {
             prop_assert_eq!(col.dict().as_ref(), &direct.slim(), "column {} dict", i);
             let reference = PageFile::spill(direct.codes()).unwrap();
             let expect = std::fs::read(reference.path()).unwrap();
-            let got = std::fs::read(col.file().path()).unwrap();
+            let got = std::fs::read(col.file().unwrap().path()).unwrap();
             prop_assert_eq!(got, expect, "column {} spill bytes", i);
         }
         std::fs::remove_file(&path).ok();
@@ -141,8 +141,8 @@ proptest! {
         for (c, w) in cold.columns().iter().zip(warm.columns()) {
             prop_assert_eq!(c.dict(), w.dict());
             prop_assert_eq!(
-                std::fs::read(c.file().path()).unwrap(),
-                std::fs::read(w.file().path()).unwrap()
+                std::fs::read(c.file().unwrap().path()).unwrap(),
+                std::fs::read(w.file().unwrap().path()).unwrap()
             );
         }
 

@@ -26,9 +26,7 @@ pub use dbre_relational::partitions;
 pub mod spider;
 pub mod tane;
 
-pub use approx::{
-    fd_error, fd_error_coded, fd_error_db, fd_holds_approx, ind_error, ind_holds_approx,
-};
+pub use approx::{fd_error, ind_error, ind_holds_approx};
 pub use fd_check::{check_cached, check_encoded, check_hash, check_partition, violations};
 pub use keys::{
     discover_keys, discover_keys_sketched, discover_keys_with_stats, infer_missing_keys,

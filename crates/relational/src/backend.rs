@@ -41,6 +41,8 @@ use crate::encode::{
     decode_set_cols, distinct_codes_cols, intersect_count, lhs_groups_cols, partition1_col,
     ColumnDict, DictTable, EncodedSet,
 };
+use crate::error::DbreError;
+use crate::pages::PageError;
 use crate::partitions::StrippedPartition;
 use crate::schema::RelId;
 use crate::sketch::ColumnSketch;
@@ -301,6 +303,36 @@ pub trait CountBackend: Send + Sync {
     fn apply_delta(&self, before: &Database, after: &Database, delta: &Delta) {
         let _ = (before, after, delta);
     }
+}
+
+/// The dictionary of each of `attrs`, for the coded kernels
+/// ([`crate::encode`]): the backend's own, cached per table
+/// generation, when it keeps one; otherwise one built here from the
+/// materialized column. A streamed extension has no values outside the
+/// backend, so a backend that serves no dictionary for it is a typed
+/// error rather than an empty column.
+pub fn column_dicts(
+    backend: &dyn CountBackend,
+    db: &Database,
+    rel: RelId,
+    attrs: &[AttrId],
+) -> Result<Vec<Arc<ColumnDict>>, DbreError> {
+    let table = db.table(rel);
+    attrs
+        .iter()
+        .map(|&a| match backend.column_dict(db, rel, a) {
+            Some(dict) => Ok(dict),
+            None if table.is_materialized() => Ok(Arc::new(ColumnDict::build(table.column(a)))),
+            None => {
+                let relation = db.schema.relation(rel);
+                Err(DbreError::Page(PageError::Io(format!(
+                    "streamed column `{}` of `{}` has no backend-served dictionary",
+                    relation.attr_name(a),
+                    relation.name,
+                ))))
+            }
+        })
+        .collect()
 }
 
 /// Shared `Value`-level implementation of the LHS-group contract (see

@@ -53,6 +53,7 @@
 
 use crate::attr::AttrId;
 use crate::counting::JoinStats;
+use crate::error::RelationalError;
 use crate::fasthash::{FxHashMap, FxHashSet};
 use crate::partitions::StrippedPartition;
 use crate::sketch::ColumnSketch;
@@ -885,6 +886,165 @@ pub fn fd_holds_cols(lhs: &[&ColumnDict], rhs: &[&ColumnDict], rows: usize) -> b
             true
         }
     }
+}
+
+/// The plurality right-hand side of one LHS group: how many of the
+/// group's rows carry its most frequent RHS tuple, and the first row
+/// carrying it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Plurality {
+    /// Rows of the group carrying the winning RHS tuple.
+    pub count: usize,
+    /// The lowest row index carrying the winning RHS tuple.
+    pub row: usize,
+}
+
+/// Per-group plurality of the RHS tuple on `rhs`, for row groups as
+/// [`lhs_groups_cols`] and `CountBackend::lhs_groups` produce them.
+/// NULL RHS codes group as ordinary values. A tie goes to the tuple
+/// whose first row comes first.
+///
+/// One kernel serves both consumers of "group by LHS, keep the
+/// plurality RHS": the `g3` error of a failing FD is
+/// `Σ (|group| − count)` over the non-NULL-LHS rows, and Restruct's
+/// repaired split table keeps `row` per group. Nothing is allocated
+/// per row: each group's `(key, row)` pairs are sorted in one reused
+/// scratch buffer and the plurality is the longest run. RHS tuples of
+/// up to two codes pack losslessly into a `u64`; wider tuples compare
+/// code by code.
+pub fn plurality_cols(groups: &[Vec<usize>], rhs: &[&ColumnDict]) -> Vec<Plurality> {
+    fn best(runs: impl Iterator<Item = Plurality>) -> Plurality {
+        let none = Plurality {
+            count: 0,
+            row: usize::MAX,
+        };
+        runs.fold(none, |best, p| {
+            if p.count > best.count || (p.count == best.count && p.row < best.row) {
+                p
+            } else {
+                best
+            }
+        })
+    }
+    let codes: Vec<&[u32]> = rhs.iter().map(|c| c.codes()).collect();
+    if codes.len() <= 2 {
+        let key = |i: usize| codes.iter().fold(0u64, |k, c| (k << 32) | u64::from(c[i]));
+        let mut scratch: Vec<(u64, usize)> = Vec::new();
+        groups
+            .iter()
+            .map(|g| {
+                scratch.clear();
+                scratch.extend(g.iter().map(|&i| (key(i), i)));
+                scratch.sort_unstable();
+                best(scratch.chunk_by(|x, y| x.0 == y.0).map(|run| Plurality {
+                    count: run.len(),
+                    row: run[0].1,
+                }))
+            })
+            .collect()
+    } else {
+        let cmp = |i: usize, j: usize| {
+            codes
+                .iter()
+                .map(|c| c[i].cmp(&c[j]))
+                .find(|o| o.is_ne())
+                .unwrap_or(std::cmp::Ordering::Equal)
+        };
+        let mut scratch: Vec<usize> = Vec::new();
+        groups
+            .iter()
+            .map(|g| {
+                scratch.clear();
+                scratch.extend_from_slice(g);
+                scratch.sort_unstable_by(|&i, &j| cmp(i, j).then(i.cmp(&j)));
+                best(
+                    scratch
+                        .chunk_by(|&i, &j| cmp(i, j).is_eq())
+                        .map(|run| Plurality {
+                            count: run.len(),
+                            row: run[0],
+                        }),
+                )
+            })
+            .collect()
+    }
+}
+
+/// Rows whose projection on `cols` has no NULL — the denominator of
+/// the `g3` error. A unary projection reads the dictionary's NULL
+/// count; wider ones take one pass over the codes.
+pub fn non_null_rows_cols(cols: &[&ColumnDict], rows: usize) -> usize {
+    match cols {
+        [col] => rows - col.null_count(),
+        _ => {
+            let codes: Vec<&[u32]> = cols.iter().map(|c| c.codes()).collect();
+            (0..rows)
+                .filter(|&i| codes.iter().all(|c| c[i] != NULL_CODE))
+                .count()
+        }
+    }
+}
+
+/// The first row of every distinct non-NULL projection on `cols`,
+/// ascending — `SELECT DISTINCT` that keeps first-seen order, as row
+/// indices for [`decode_rows_cols`].
+pub fn first_rows_cols(cols: &[&ColumnDict], rows: usize) -> Vec<usize> {
+    match cols {
+        // π_∅ of a non-empty table is the single empty tuple.
+        [] => (0..rows.min(1)).collect(),
+        [col] => {
+            let mut seen = vec![false; col.cardinality() + 1];
+            seen[NULL_CODE as usize] = true;
+            col.codes()
+                .iter()
+                .enumerate()
+                .filter(|&(_, &c)| !std::mem::replace(&mut seen[c as usize], true))
+                .map(|(i, _)| i)
+                .collect()
+        }
+        [ca, cb] => {
+            let (ca, cb) = (ca.codes(), cb.codes());
+            let mut seen: FxHashSet<u64> = FxHashSet::default();
+            (0..rows)
+                .filter(|&i| {
+                    ca[i] != NULL_CODE && cb[i] != NULL_CODE && seen.insert(pack2(ca[i], cb[i]))
+                })
+                .collect()
+        }
+        _ => {
+            let codes: Vec<&[u32]> = cols.iter().map(|c| c.codes()).collect();
+            let mut seen: FxHashSet<Box<[u32]>> = FxHashSet::default();
+            let mut scratch: Vec<u32> = vec![0; cols.len()];
+            let mut first = Vec::new();
+            'rows: for i in 0..rows {
+                for (s, c) in scratch.iter_mut().zip(&codes) {
+                    if c[i] == NULL_CODE {
+                        continue 'rows;
+                    }
+                    *s = c[i];
+                }
+                if !seen.contains(scratch.as_slice()) {
+                    seen.insert(scratch.clone().into_boxed_slice());
+                    first.push(i);
+                }
+            }
+            first
+        }
+    }
+}
+
+/// Decodes `rows` of the projection on `cols` into a table, in the
+/// given order — one `Value` clone per output cell, none for the rows
+/// left out.
+pub fn decode_rows_cols(cols: &[&ColumnDict], rows: &[usize]) -> Result<Table, RelationalError> {
+    Table::from_rows(
+        cols.len(),
+        rows.iter().map(|&i| {
+            cols.iter()
+                .map(|c| c.value_of(c.codes()[i]).cloned().unwrap_or(Value::Null))
+                .collect()
+        }),
+    )
 }
 
 /// A fully dictionary-encoded table: one shared [`ColumnDict`] per

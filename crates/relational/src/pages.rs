@@ -7,7 +7,9 @@
 //! the [`crate::encode::ColumnDict`] code space) in a spill file of
 //! fixed [`PAGE_BYTES`] pages behind a small header, while the
 //! *dictionary* halves (decode table, encode index, NULL count) stay
-//! resident as a codes-free [`ColumnDict::slim`] copy. Every counting
+//! resident as a codes-free [`ColumnDict::slim`] copy. (A column
+//! encoded from memory that fits in one page stays resident whole:
+//! its own spill file would cost more than it saves.) Every counting
 //! kernel the pipeline needs — `count_distinct`, `join_stats`,
 //! `lhs_groups`, counting-sort partitions — re-runs the PR 3 encoded
 //! kernels page slice by page slice through a shared LRU
@@ -462,26 +464,50 @@ impl PageFileWriter {
     }
 }
 
-/// One column of the paged store: the resident slim dictionary plus
-/// the spilled code pages.
+/// One column of the paged store: the resident dictionary plus the
+/// code pages.
 #[derive(Debug)]
 pub struct PagedColumn {
-    /// Codes-free dictionary ([`ColumnDict::slim`]): decode/encode
-    /// tables and NULL count, no per-row vector.
+    /// Decode/encode tables and NULL count. Codes-free
+    /// ([`ColumnDict::slim`]) for a spilled column; the full
+    /// dictionary for a resident one, whose codes are one page anyway.
     dict: Arc<ColumnDict>,
     rows: usize,
-    file: PageFile,
+    pages: PageSource,
+}
+
+/// Where a [`PagedColumn`]'s code pages live.
+#[derive(Debug)]
+enum PageSource {
+    /// A spill file, read page by page through the buffer pool.
+    File(PageFile),
+    /// The whole column as one in-memory page. An encode from memory
+    /// keeps a column of at most [`PAGE_CODES`] rows here: it is no
+    /// larger than the pool page a spill would be read back into, and
+    /// a spill file per small column (create, write, reopen, unlink)
+    /// costs more than every scan of it.
+    Resident(Arc<Vec<u32>>),
 }
 
 impl PagedColumn {
-    /// Spills a fully built dictionary's codes to disk and keeps only
-    /// the slim half resident.
-    pub fn from_dict(full: &ColumnDict) -> Result<PagedColumn, PageError> {
+    /// Moves a fully built dictionary into the paged store. A column
+    /// of at most one page stays resident, dictionary and all; a
+    /// longer one is spilled to disk and keeps only the slim half.
+    pub fn from_dict(full: ColumnDict) -> Result<PagedColumn, PageError> {
+        let rows = full.rows();
+        if rows <= PAGE_CODES {
+            let page = Arc::new(full.codes().to_vec());
+            return Ok(PagedColumn {
+                dict: Arc::new(full),
+                rows,
+                pages: PageSource::Resident(page),
+            });
+        }
         let file = PageFile::spill(full.codes())?;
         Ok(PagedColumn {
             dict: Arc::new(full.slim()),
-            rows: full.rows(),
-            file,
+            rows,
+            pages: PageSource::File(file),
         })
     }
 
@@ -495,11 +521,11 @@ impl PagedColumn {
         PagedColumn {
             rows: file.rows() as usize,
             dict,
-            file,
+            pages: PageSource::File(file),
         }
     }
 
-    /// The resident slim dictionary.
+    /// The resident dictionary (slim unless the column is resident).
     pub fn dict(&self) -> &Arc<ColumnDict> {
         &self.dict
     }
@@ -509,31 +535,47 @@ impl PagedColumn {
         self.rows
     }
 
-    /// The spill file.
-    pub fn file(&self) -> &PageFile {
-        &self.file
+    /// The spill file, or `None` for a column kept resident.
+    pub fn file(&self) -> Option<&PageFile> {
+        match &self.pages {
+            PageSource::File(file) => Some(file),
+            PageSource::Resident(_) => None,
+        }
     }
 
-    /// One page of codes through the pool.
+    /// One page of codes: through the pool from the spill file, or
+    /// the resident page itself.
     pub fn page(&self, pool: &BufferPool, page: u32) -> Result<Arc<Vec<u32>>, PageError> {
-        pool.get_or_load(
-            PageKey {
-                file: self.file.id,
-                page,
-            },
-            || self.file.read_page(page),
-        )
+        match &self.pages {
+            PageSource::File(file) => pool.get_or_load(
+                PageKey {
+                    file: file.id,
+                    page,
+                },
+                || file.read_page(page),
+            ),
+            PageSource::Resident(codes) if page == 0 => Ok(Arc::clone(codes)),
+            PageSource::Resident(_) => Err(PageError::PageOutOfBounds { page, pages: 1 }),
+        }
     }
 
     /// Rehydrates the full per-row code vector by streaming every
     /// page — the bridge for consumers that need random access
-    /// (`column_dict()` for the batch SQL executor).
+    /// (`column_dict()` for the coded kernels).
     pub fn read_all_codes(&self, pool: &BufferPool) -> Result<Vec<u32>, PageError> {
         let mut codes = Vec::with_capacity(self.rows);
-        for p in 0..self.file.pages {
-            codes.extend_from_slice(&self.page(pool, p)?);
+        for p in 0..self.rows.div_ceil(PAGE_CODES) {
+            codes.extend_from_slice(&self.page(pool, p as u32)?);
         }
         Ok(codes)
+    }
+
+    /// Purges the column's cached pages from `pool` (a resident
+    /// column has none there).
+    fn evict(&self, pool: &BufferPool) {
+        if let PageSource::File(file) = &self.pages {
+            pool.evict_file(file.id);
+        }
     }
 }
 
@@ -608,6 +650,24 @@ where
             .collect();
     }
     chunks.iter().map(|c| f(c.clone())).collect()
+}
+
+/// Folds chunk partials, in chunk order, into the first one — a lone
+/// chunk (every serial scan) is the result as is, never copied into a
+/// fresh accumulator. No chunks (an empty column) yield `R::default()`.
+fn merge_parts<R: Default>(
+    parts: Vec<Result<R, PageError>>,
+    mut merge: impl FnMut(&mut R, R),
+) -> Result<R, PageError> {
+    let mut parts = parts.into_iter();
+    let mut acc = match parts.next() {
+        Some(first) => first?,
+        None => R::default(),
+    };
+    for part in parts {
+        merge(&mut acc, part?);
+    }
+    Ok(acc)
 }
 
 /// How many page groups the prefetching reader may run ahead of the
@@ -738,11 +798,9 @@ pub fn distinct_codes_paged(
                 })?;
                 Ok(set)
             });
-            let mut set: FxHashSet<Box<[u32]>> = FxHashSet::default();
-            for part in parts {
-                set.extend(part?);
-            }
-            Ok(EncodedSet::Wide(set))
+            Ok(EncodedSet::Wide(merge_parts(parts, |set, part| {
+                set.extend(part)
+            })?))
         }
     }
 }
@@ -854,7 +912,12 @@ fn fill_groups_paged(
     let cols = [col];
     let chunks = page_chunks(rows.div_ceil(PAGE_CODES), paged_threads());
     let parts = run_chunks(&chunks, |r| {
-        let mut part: Vec<Vec<usize>> = vec![Vec::new(); sizes.len()];
+        // A lone chunk fills the final groups: size them exactly.
+        let mut part: Vec<Vec<usize>> = if chunks.len() == 1 {
+            sizes.iter().map(|&n| Vec::with_capacity(n)).collect()
+        } else {
+            vec![Vec::new(); sizes.len()]
+        };
         stream_page_range(&cols, pool, r, |base, slices| {
             for (i, &c) in slices[0].iter().enumerate() {
                 let s = slots[c as usize];
@@ -865,13 +928,11 @@ fn fill_groups_paged(
         })?;
         Ok(part)
     });
-    let mut groups: Vec<Vec<usize>> = sizes.iter().map(|&n| Vec::with_capacity(n)).collect();
-    for part in parts {
-        for (g, p) in groups.iter_mut().zip(part?) {
+    merge_parts(parts, |groups: &mut Vec<Vec<usize>>, part| {
+        for (g, p) in groups.iter_mut().zip(part) {
             g.extend(p);
         }
-    }
-    Ok(groups)
+    })
 }
 
 /// Paged twin of [`crate::encode::lhs_groups_cols`]: SQL-semantics
@@ -914,12 +975,11 @@ pub fn lhs_groups_paged(
                 })?;
                 Ok(map)
             });
-            let mut map: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
-            for part in parts {
-                for (k, v) in part? {
+            let map = merge_parts(parts, |map: &mut FxHashMap<u64, Vec<usize>>, part| {
+                for (k, v) in part {
                     map.entry(k).or_default().extend(v);
                 }
-            }
+            })?;
             let mut groups: Vec<Vec<usize>> = map.into_values().filter(|g| g.len() >= 2).collect();
             groups.sort();
             Ok(groups)
@@ -946,12 +1006,14 @@ pub fn lhs_groups_paged(
                 })?;
                 Ok(map)
             });
-            let mut map: FxHashMap<Box<[u32]>, Vec<usize>> = FxHashMap::default();
-            for part in parts {
-                for (k, v) in part? {
-                    map.entry(k).or_default().extend(v);
-                }
-            }
+            let map = merge_parts(
+                parts,
+                |map: &mut FxHashMap<Box<[u32]>, Vec<usize>>, part| {
+                    for (k, v) in part {
+                        map.entry(k).or_default().extend(v);
+                    }
+                },
+            )?;
             let mut groups: Vec<Vec<usize>> = map.into_values().filter(|g| g.len() >= 2).collect();
             groups.sort();
             Ok(groups)
@@ -1133,8 +1195,9 @@ pub fn fd_holds_paged(
 ///
 /// Column encoding happens exactly as in the encoded backend (one
 /// interning pass per column per table generation), but the per-row
-/// codes are spilled to a page file immediately and only the slim
-/// dictionary stays resident. A table mutation (generation bump)
+/// codes of a column longer than one page are spilled to a page file
+/// immediately and only the slim dictionary stays resident (a shorter
+/// column stays resident whole). A table mutation (generation bump)
 /// replaces the spill file and purges its pages from the pool; a
 /// spill or read failure degrades the probe to the `Value`-based
 /// reference semantics and increments
@@ -1142,9 +1205,9 @@ pub fn fd_holds_paged(
 pub struct PagedBackend {
     pool: Arc<BufferPool>,
     columns: RwLock<HashMap<(RelId, AttrId), Tagged<PagedColumn>>>,
-    /// Rehydrated full dictionaries for the `column_dict()` seam —
-    /// built on demand by streaming every page, then cached per
-    /// generation like any other derived structure.
+    /// Rehydrated full dictionaries of spilled columns for the
+    /// `column_dict()` seam — built on demand by streaming every page,
+    /// then cached per generation like any other derived structure.
     hydrated: RwLock<HashMap<(RelId, AttrId), Tagged<ColumnDict>>>,
     fallbacks: AtomicU64,
     /// Streamed-ingest tables adopted from the persistent spill cache
@@ -1216,9 +1279,9 @@ impl PagedBackend {
                 attr.0, rel.0
             )));
         }
-        let full = ColumnDict::build(db.table(rel).column(attr));
-        let value = Arc::new(PagedColumn::from_dict(&full)?);
-        drop(full);
+        let value = Arc::new(PagedColumn::from_dict(ColumnDict::build(
+            db.table(rel).column(attr),
+        ))?);
         let mut columns = write_recover(&self.columns);
         if let Some(entry) = columns.get(&key) {
             if entry.gen == gen {
@@ -1232,7 +1295,7 @@ impl PagedBackend {
                 value: Arc::clone(&value),
             },
         ) {
-            self.pool.evict_file(stale.value.file.id);
+            stale.value.evict(&self.pool);
         }
         Ok(value)
     }
@@ -1285,7 +1348,7 @@ impl PagedBackend {
                     value: Arc::clone(col),
                 },
             ) {
-                self.pool.evict_file(stale.value.file.id);
+                stale.value.evict(&self.pool);
             }
         }
         drop(columns);
@@ -1439,6 +1502,10 @@ impl CountBackend for PagedBackend {
                 return None;
             }
         };
+        if col.file().is_none() {
+            // A resident column already holds the full dictionary.
+            return Some(Arc::clone(&col.dict));
+        }
         let codes = match col.read_all_codes(&self.pool) {
             Ok(c) => c,
             Err(e) => {
@@ -1616,8 +1683,16 @@ mod tests {
             *reference.partition1(&db, l, AttrId(1))
         );
         assert_eq!(paged.exec_stats().fallback_failures, 0);
+        // One-page columns stay resident: no spill file, no pool
+        // traffic (multi_page_columns_stream_correctly covers both).
+        let col = paged.paged_column(&db, l, AttrId(0)).unwrap();
+        assert!(col.file().is_none(), "a one-page column must stay resident");
         let stats = paged.page_stats();
-        assert!(stats.hits + stats.misses > 0, "probes must touch the pool");
+        assert_eq!(
+            stats.hits + stats.misses,
+            0,
+            "resident pages bypass the pool"
+        );
     }
 
     #[test]
@@ -1625,11 +1700,14 @@ mod tests {
         let (mut db, l, _) = sample_db();
         let paged = PagedBackend::new();
         assert_eq!(paged.count_distinct(&db, l, &[AttrId(0)]), 4);
-        let old_file = paged.paged_column(&db, l, AttrId(0)).unwrap().file().id();
+        let old = paged.paged_column(&db, l, AttrId(0)).unwrap();
         db.insert(l, vec![Value::Int(99), Value::Int(1)]).unwrap();
         assert_eq!(paged.count_distinct(&db, l, &[AttrId(0)]), 5);
-        let new_file = paged.paged_column(&db, l, AttrId(0)).unwrap().file().id();
-        assert_ne!(old_file, new_file, "mutation must respill the column");
+        let new = paged.paged_column(&db, l, AttrId(0)).unwrap();
+        assert!(
+            !Arc::ptr_eq(&old, &new),
+            "mutation must re-encode the column"
+        );
     }
 
     #[test]
@@ -1678,6 +1756,8 @@ mod tests {
             *reference.partition1(&db, rel, AttrId(0))
         );
         assert!(paged.page_stats().evictions > 0, "1-page pool must churn");
+        let col = paged.paged_column(&db, rel, AttrId(0)).unwrap();
+        assert!(col.file().is_some(), "a multi-page column must be spilled");
         assert_eq!(paged.exec_stats().fallback_failures, 0);
     }
 

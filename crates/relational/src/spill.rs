@@ -567,7 +567,7 @@ mod tests {
         assert_eq!(col0.dict().distinct_values(), direct.distinct_values());
         assert_eq!(col0.dict().null_count(), direct.null_count());
         let mut codes = Vec::new();
-        for p in 0..col0.file().pages() {
+        for p in 0..col0.file().unwrap().pages() {
             codes.extend_from_slice(&col0.page(&pool, p).unwrap());
         }
         assert_eq!(codes, direct.codes());

@@ -338,9 +338,11 @@ impl StatsEngine {
             return true;
         }
         // The RHS comparison is structural equality on the raw columns
-        // (hoisted out of the loop): only the grouped rows are touched,
-        // so interning whole RHS columns into codes would cost a full
-        // table pass per probe just to cheapen these few comparisons.
+        // (hoisted out of the loop): a holds/fails answer needs only
+        // first-witness comparisons inside the groups, so the RHS is not
+        // interned here. A failing probe's g3 error and Restruct's split
+        // tables do intern it (through `column_dict`, cached per
+        // generation) because they count every RHS tuple of every group.
         let table = db.table(fd.rel);
         let rcols: Vec<&[crate::value::Value]> = rhs.iter().map(|a| table.column(*a)).collect();
         for group in groups.iter() {

@@ -226,32 +226,6 @@ impl Table {
             columns,
         }
     }
-
-    /// Builds a new table containing the distinct non-null projections
-    /// on `attrs`, in first-seen order. Used when Restruct materializes
-    /// a new relation `R_p(A_i B_i)` out of an FD `A_i → B_i`.
-    pub fn distinct_subtable(&self, attrs: &[AttrId]) -> Table {
-        let cols = self.column_slices(attrs);
-        let mut seen: HashSet<ProjKey> = HashSet::new();
-        let mut out = Table::new(attrs.len());
-        'rows: for i in 0..self.rows {
-            let mut key = Vec::with_capacity(cols.len());
-            for c in &cols {
-                let v = &c[i];
-                if v.is_null() {
-                    continue 'rows;
-                }
-                key.push(v.clone());
-            }
-            if seen.insert(key.clone()) {
-                // The key holds exactly `attrs.len()` values and `out`
-                // was built with that arity.
-                #[allow(clippy::expect_used)]
-                out.push_row(key).expect("arity fixed by construction");
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -313,16 +287,6 @@ mod tests {
         assert_eq!(dropped.arity(), 1);
         assert_eq!(dropped.len(), 5);
         assert_eq!(dropped.cell(0, a(0)), &Value::str("a"));
-    }
-
-    #[test]
-    fn distinct_subtable_dedups_in_first_seen_order() {
-        let t = sample();
-        let sub = t.distinct_subtable(&[a(0)]);
-        assert_eq!(sub.len(), 3);
-        assert_eq!(sub.cell(0, a(0)), &Value::Int(1));
-        assert_eq!(sub.cell(1, a(0)), &Value::Int(2));
-        assert_eq!(sub.cell(2, a(0)), &Value::Int(3));
     }
 
     #[test]

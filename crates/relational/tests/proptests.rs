@@ -254,12 +254,13 @@ proptest! {
     }
 
     #[test]
-    fn distinct_subtable_matches_count(
+    fn first_rows_match_count(
         rows in prop::collection::vec(0i64..10, 0..50)
     ) {
         let table =
             Table::from_rows(1, rows.iter().map(|a| vec![Value::Int(*a)])).unwrap();
-        let sub = table.distinct_subtable(&[AttrId(0)]);
-        prop_assert_eq!(sub.len(), table.count_distinct(&[AttrId(0)]));
+        let dict = dbre_relational::ColumnDict::build(table.column(AttrId(0)));
+        let first = dbre_relational::encode::first_rows_cols(&[&dict], table.len());
+        prop_assert_eq!(first.len(), table.count_distinct(&[AttrId(0)]));
     }
 }
