@@ -7,7 +7,8 @@ use dbre_bench::scenario;
 use dbre_core::rhs_discovery::RhsOptions;
 use dbre_mine::tane::tane;
 use dbre_mine::{check_hash, check_partition, StrippedPartition};
-use dbre_relational::encode::{partition1_col, ColumnDict};
+use dbre_relational::encode::ColumnDict;
+use dbre_relational::kernels::partition1;
 use dbre_relational::{AttrId, AttrSet, Fd, StatsEngine};
 use dbre_synth::TruthOracle;
 use std::hint::black_box;
@@ -113,7 +114,8 @@ fn bench_fd(c: &mut Criterion) {
                 let table = s.db.table(rel);
                 for i in 0..relation.arity() {
                     let col = ColumnDict::build(table.column(AttrId(i as u16)));
-                    black_box(partition1_col(&col));
+                    let Ok(p) = partition1(&col, table.len());
+                    black_box(p);
                 }
             }
         })

@@ -676,7 +676,8 @@ fn x8() {
 /// time grows more than 20x for 10x the rows.
 fn xb(check: bool) {
     use dbre_mine::{check_hash, StrippedPartition};
-    use dbre_relational::encode::{partition1_col, ColumnDict};
+    use dbre_relational::encode::ColumnDict;
+    use dbre_relational::kernels::partition1;
     use dbre_relational::{AttrId, AttrSet, Fd, StatsEngine};
 
     header(
@@ -751,7 +752,8 @@ fn xb(check: bool) {
                     let table = s.db.table(rel);
                     for i in 0..relation.arity() {
                         let col = ColumnDict::build(table.column(AttrId(i as u16)));
-                        std::hint::black_box(partition1_col(&col));
+                        let Ok(p) = partition1(&col, table.len());
+                        std::hint::black_box(p);
                     }
                 }
             }),

@@ -1,8 +1,8 @@
 //! Single-FD verification backends.
 //!
 //! RHS-Discovery tests one candidate FD at a time against the
-//! extension (`A → b holds in r_i`, step (i) of the algorithm). Two
-//! interchangeable backends are provided so the ablation bench can
+//! extension (`A → b holds in r_i`, step (i) of the algorithm).
+//! Interchangeable backends are provided so the ablation bench can
 //! compare them:
 //!
 //! * [`check_hash`] — one hash pass grouping LHS projections (SQL NULL
@@ -10,9 +10,8 @@
 //!   `Database::fd_holds`);
 //! * [`check_partition`] — stripped-partition refinement (NULL = NULL
 //!   mining convention);
-//! * [`check_encoded`] — the dictionary-encoded kernel
-//!   ([`DictTable::fd_holds`]), same SQL semantics as [`check_hash`]
-//!   but grouping on integer codes instead of cloned `Value` tuples.
+//! * [`check_cached`] — the counting backend's check, memoized when
+//!   served through a `StatsEngine`.
 //!
 //! [`violations`] additionally reports *how badly* an FD fails — the
 //! `g3` counter backing approximate dependencies in [`crate::approx`].
@@ -22,7 +21,6 @@ use dbre_relational::attr::AttrId;
 use dbre_relational::backend::CountBackend;
 use dbre_relational::database::Database;
 use dbre_relational::deps::Fd;
-use dbre_relational::encode::DictTable;
 use dbre_relational::table::Table;
 use dbre_relational::value::Value;
 use std::collections::HashMap;
@@ -56,13 +54,6 @@ pub fn check_hash(table: &Table, lhs: &[AttrId], rhs: &[AttrId]) -> bool {
         }
     }
     true
-}
-
-/// Dictionary-encoded FD check: same SQL NULL semantics and answer as
-/// [`check_hash`], grouping on dense integer codes. Build the
-/// [`DictTable`] once and amortize it over a batch of candidate FDs.
-pub fn check_encoded(dict: &DictTable, lhs: &[AttrId], rhs: &[AttrId]) -> bool {
-    dict.fd_holds(lhs, rhs)
 }
 
 /// Partition-based FD check (mining NULL convention; agrees with
@@ -142,37 +133,6 @@ mod tests {
                 check_partition(&t, &[a(0)], &[a(1)]),
                 "case {rows:?}"
             );
-        }
-    }
-
-    #[test]
-    fn encoded_agrees_with_hash_including_nulls() {
-        let cases: Vec<Table> = vec![
-            table(&[(1, 1), (2, 2)]),
-            table(&[(1, 1), (1, 2)]),
-            table(&[(1, 1), (1, 1), (2, 3)]),
-            table(&[]),
-            Table::from_rows(
-                2,
-                vec![
-                    vec![Value::Null, Value::Int(1)],
-                    vec![Value::Null, Value::Int(2)],
-                    vec![Value::Int(1), Value::Null],
-                    vec![Value::Int(1), Value::Null],
-                    vec![Value::Int(1), Value::Int(3)],
-                ],
-            )
-            .unwrap(),
-        ];
-        for t in &cases {
-            let dict = DictTable::build(t);
-            for (lhs, rhs) in [(vec![a(0)], vec![a(1)]), (vec![a(1)], vec![a(0)])] {
-                assert_eq!(
-                    check_encoded(&dict, &lhs, &rhs),
-                    check_hash(t, &lhs, &rhs),
-                    "lhs {lhs:?} on {t:?}"
-                );
-            }
         }
     }
 

@@ -27,7 +27,7 @@ pub mod spider;
 pub mod tane;
 
 pub use approx::{fd_error, ind_error, ind_holds_approx};
-pub use fd_check::{check_cached, check_encoded, check_hash, check_partition, violations};
+pub use fd_check::{check_cached, check_hash, check_partition, violations};
 pub use keys::{
     discover_keys, discover_keys_sketched, discover_keys_with_stats, infer_missing_keys,
     infer_missing_keys_sketched, infer_missing_keys_with_stats, KeyResult, KeyStats,

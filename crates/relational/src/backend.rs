@@ -37,11 +37,9 @@ use crate::counting::{join_stats, EquiJoin, JoinStats};
 use crate::database::Database;
 use crate::delta::Delta;
 use crate::deps::{Fd, Ind};
-use crate::encode::{
-    decode_set_cols, distinct_codes_cols, intersect_count, lhs_groups_cols, partition1_col,
-    ColumnDict, DictTable, EncodedSet,
-};
+use crate::encode::{decode_set_cols, intersect_count, ColumnDict, DictTable, EncodedSet};
 use crate::error::DbreError;
+use crate::kernels;
 use crate::pages::PageError;
 use crate::partitions::StrippedPartition;
 use crate::schema::RelId;
@@ -170,7 +168,7 @@ pub struct BackendExecStats {
 ///   (`NULL = NULL`) of [`crate::partitions`].
 pub trait CountBackend: Send + Sync {
     /// A short stable name for reports and the CLI (`"reference"`,
-    /// `"encoded"`, `"sql"`).
+    /// `"encoded"`, `"sql"`, `"paged"`).
     fn name(&self) -> &'static str;
 
     /// `‖rel[attrs]‖` — the paper's cardinality query (SQL
@@ -468,8 +466,7 @@ impl EncodedBackend {
 
     /// The dictionary encoding of `rel`'s *whole* table, assembled
     /// from the per-column cache (cheap `Arc` clones for already-warm
-    /// columns). Whole-table consumers — CSV import prewarming, batch
-    /// FD checks via `check_encoded` — use this; statistic probes go
+    /// columns) — the CSV import prewarm path. Statistic probes go
     /// through the per-column kernels and never force untouched
     /// columns to encode.
     pub fn dict(&self, db: &Database, rel: RelId) -> Arc<DictTable> {
@@ -492,7 +489,8 @@ impl EncodedBackend {
         }
         let dicts = self.attr_dicts(db, rel, attrs);
         let cols: Vec<&ColumnDict> = dicts.iter().map(Arc::as_ref).collect();
-        let value = Arc::new(distinct_codes_cols(&cols, db.table(rel).len()));
+        let Ok(set) = kernels::distinct_codes(&cols, db.table(rel).len());
+        let value = Arc::new(set);
         let mut encoded = write_recover(&self.encoded);
         if let Some(entry) = encoded.get(&key) {
             if entry.gen == gen {
@@ -537,7 +535,8 @@ impl CountBackend for EncodedBackend {
     fn lhs_groups(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> Arc<Vec<Vec<usize>>> {
         let dicts = self.attr_dicts(db, rel, attrs);
         let cols: Vec<&ColumnDict> = dicts.iter().map(Arc::as_ref).collect();
-        Arc::new(lhs_groups_cols(&cols, db.table(rel).len()))
+        let Ok(groups) = kernels::lhs_groups(&cols, db.table(rel).len());
+        Arc::new(groups)
     }
 
     fn projection(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> Arc<HashSet<ProjKey>> {
@@ -549,7 +548,9 @@ impl CountBackend for EncodedBackend {
 
     fn partition1(&self, db: &Database, rel: RelId, attr: AttrId) -> Arc<StrippedPartition> {
         // Array-bucket build over the code domain — no hashing.
-        Arc::new(partition1_col(&self.column_dict(db, rel, attr)))
+        let dict = self.column_dict(db, rel, attr);
+        let Ok(p) = kernels::partition1(dict.as_ref(), db.table(rel).len());
+        Arc::new(p)
     }
 
     fn prewarm(&self, db: &Database, rel: RelId) {

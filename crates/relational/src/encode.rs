@@ -1,5 +1,5 @@
-//! Dictionary-encoded columns: integer-code kernels for `‖·‖` counting,
-//! joins, and partitions.
+//! Dictionary-encoded columns: the code space every counting kernel
+//! runs on, plus the cross-column kernels that need no per-row scan.
 //!
 //! Every statistic the paper's algorithms consume — distinct
 //! projections for the three IND-Discovery cardinalities, LHS groups
@@ -15,12 +15,16 @@
 //!
 //! The unit of encoding is the **column** ([`ColumnDict`]), not the
 //! table: a probe that touches two attributes of a 13-column relation
-//! pays for exactly two dictionary builds. The kernels are free
-//! functions over `&[&ColumnDict]` slices, so callers can mix columns
-//! cached at different times ([`crate::stats::StatsEngine`] caches one
-//! dictionary per `(relation, attribute)` generation). [`DictTable`]
-//! bundles one `Arc<ColumnDict>` per attribute for whole-table
-//! consumers (TANE, SPIDER, key discovery) and forwards every kernel.
+//! pays for exactly two dictionary builds. The five row-scanning
+//! counting kernels live in [`crate::kernels`], written once over a
+//! code source that an in-RAM `ColumnDict` and a spilled
+//! [`crate::pages::PagedColumn`] both implement. What stays here reads
+//! only the dictionaries or random rows: [`decode_set_cols`],
+//! [`code_translation`] and [`intersect_count`] (join cardinalities),
+//! and the g3/Restruct kernels ([`plurality_cols`],
+//! [`first_rows_cols`], [`decode_rows_cols`], [`non_null_rows_cols`]).
+//! [`DictTable`] bundles one `Arc<ColumnDict>` per attribute for
+//! whole-table consumers (TANE, SPIDER, key discovery).
 //!
 //! Consequences of the encoding:
 //!
@@ -35,15 +39,9 @@
 //!   per-position lookup table (codes are column-local), then probe
 //!   integer sets.
 //!
-//! NULL conventions are preserved exactly: the SQL kernels
-//! ([`count_distinct_cols`], [`distinct_codes_cols`],
-//! [`fd_holds_cols`], [`lhs_groups_cols`]) skip rows whose projection
-//! touches code 0, while the mining kernels ([`partition1_col`],
-//! [`partition_cols`]) treat code 0 as an ordinary value equal to
-//! itself, mirroring [`crate::partitions`]. `NaN` floats intern
-//! through [`crate::value::OrdF64`]'s total order, so two NaNs with
-//! the same payload share a code exactly when the `Value` kernels
-//! consider them equal.
+//! `NaN` floats intern through [`crate::value::OrdF64`]'s total order,
+//! so two NaNs with the same payload share a code exactly when the
+//! `Value` kernels consider them equal.
 //!
 //! A `ColumnDict` is immutable after [`ColumnDict::build`]; sharing
 //! one read-only across [`crate::par::par_map`] workers is safe
@@ -52,7 +50,6 @@
 //! mutation — lives in [`crate::stats::StatsEngine`].
 
 use crate::attr::AttrId;
-use crate::counting::JoinStats;
 use crate::error::RelationalError;
 use crate::fasthash::{FxHashMap, FxHashSet};
 use crate::partitions::StrippedPartition;
@@ -491,8 +488,8 @@ impl EncodedSet {
     /// Maintains this set across a row append: inserts the projected
     /// code tuples of rows `old_rows..new_rows` of `cols` (the
     /// **already-maintained** dictionaries covering the full
-    /// post-append column). Equals `distinct_codes_cols` over the
-    /// whole column — the delta layer's append path for cached
+    /// post-append column). Equals [`crate::kernels::distinct_codes`]
+    /// over the whole column — the delta layer's append path for cached
     /// distinct sets. Deletes are not maintainable here (no
     /// multiplicities); callers evict instead.
     pub fn append_rows(&mut self, cols: &[&ColumnDict], old_rows: usize, new_rows: usize) {
@@ -531,100 +528,10 @@ impl EncodedSet {
     }
 }
 
+/// Packs a pair of codes into one lossless `u64` key (`hi << 32 | lo`).
 #[inline]
-fn pack2(hi: u32, lo: u32) -> u64 {
+pub(crate) fn pack2(hi: u32, lo: u32) -> u64 {
     (u64::from(hi) << 32) | u64::from(lo)
-}
-
-// ---- column-slice kernels -------------------------------------------
-//
-// Each kernel takes the projected columns as `&[&ColumnDict]`
-// (repeats allowed — a projection list can name a column twice) plus
-// the table's row count, which disambiguates the empty projection.
-
-/// `‖r[cols]‖` under SQL semantics (rows with a NULL among the
-/// projection dropped) — the paper's cardinality query, matching
-/// [`Table::count_distinct`] exactly.
-pub fn count_distinct_cols(cols: &[&ColumnDict], rows: usize) -> usize {
-    match cols {
-        [c] => c.cardinality(),
-        [ca, cb] => {
-            // Bitset fast path: when the code-domain product is small,
-            // pair counting is a dense bit array instead of a hash set.
-            let domain = ca.cardinality() as u64 * cb.cardinality() as u64;
-            const BITSET_MAX: u64 = 1 << 22; // 512 KiB of bits
-            if domain > 0 && domain <= BITSET_MAX {
-                let width = cb.cardinality() as u64;
-                let mut bits = vec![0u64; (domain as usize).div_ceil(64)];
-                let mut count = 0usize;
-                for (&x, &y) in ca.codes().iter().zip(cb.codes()) {
-                    if x == NULL_CODE || y == NULL_CODE {
-                        continue;
-                    }
-                    let idx = (u64::from(x) - 1) * width + (u64::from(y) - 1);
-                    let (w, m) = ((idx / 64) as usize, 1u64 << (idx % 64));
-                    if bits[w] & m == 0 {
-                        bits[w] |= m;
-                        count += 1;
-                    }
-                }
-                count
-            } else {
-                distinct_codes_cols(cols, rows).len()
-            }
-        }
-        _ => distinct_codes_cols(cols, rows).len(),
-    }
-}
-
-/// The distinct non-NULL projected code tuples (SQL semantics) —
-/// decode with [`decode_set_cols`] to recover the exact
-/// [`Table::distinct_projection`] result.
-pub fn distinct_codes_cols(cols: &[&ColumnDict], rows: usize) -> EncodedSet {
-    match cols {
-        [] => {
-            // π_∅ is {[]} on a non-empty table, {} on an empty one
-            // (matching the Value-based reference).
-            let mut s: FxHashSet<Box<[u32]>> = FxHashSet::default();
-            if rows > 0 {
-                s.insert(Box::from([]));
-            }
-            EncodedSet::Wide(s)
-        }
-        [c] => EncodedSet::Unary {
-            card: c.cardinality() as u32,
-        },
-        [ca, cb] => {
-            let cap = (ca.cardinality() as u64 * cb.cardinality() as u64).min(rows as u64) as usize;
-            let mut set: FxHashSet<u64> =
-                FxHashSet::with_capacity_and_hasher(cap, Default::default());
-            for (&x, &y) in ca.codes().iter().zip(cb.codes()) {
-                if x != NULL_CODE && y != NULL_CODE {
-                    set.insert(pack2(x, y));
-                }
-            }
-            EncodedSet::Packed(set)
-        }
-        _ => {
-            let codes: Vec<&[u32]> = cols.iter().map(|c| c.codes()).collect();
-            let mut set: FxHashSet<Box<[u32]>> = FxHashSet::default();
-            let mut scratch: Vec<u32> = vec![0; cols.len()];
-            'rows: for i in 0..rows {
-                for (s, c) in scratch.iter_mut().zip(&codes) {
-                    let code = c[i];
-                    if code == NULL_CODE {
-                        continue 'rows;
-                    }
-                    *s = code;
-                }
-                // Probe by slice first so duplicates allocate nothing.
-                if !set.contains(scratch.as_slice()) {
-                    set.insert(scratch.clone().into_boxed_slice());
-                }
-            }
-            EncodedSet::Wide(set)
-        }
-    }
 }
 
 /// Decodes an [`EncodedSet`] produced from `cols` back into `Value`
@@ -657,237 +564,6 @@ pub fn decode_set_cols(cols: &[&ColumnDict], set: &EncodedSet) -> HashSet<ProjKe
     }
 }
 
-/// Occurrence counts for `col`'s code domain — borrowed from the
-/// dictionary's fused counts when the invariant holds, recounted from
-/// the code vector otherwise (hand-assembled dictionaries).
-fn counts_of(col: &ColumnDict) -> std::borrow::Cow<'_, [u64]> {
-    let domain = col.cardinality() + 1;
-    if col.code_counts().len() == domain {
-        return std::borrow::Cow::Borrowed(col.code_counts());
-    }
-    let mut counts: Vec<u64> = vec![0; domain];
-    for &c in col.codes() {
-        counts[c as usize] += 1;
-    }
-    std::borrow::Cow::Owned(counts)
-}
-
-/// The unary stripped partition `π_attr` (mining convention:
-/// NULL = NULL) via array buckets over the code domain — no hashing.
-/// Equals [`StrippedPartition::for_attribute`].
-pub fn partition1_col(col: &ColumnDict) -> StrippedPartition {
-    // The sizes come straight from the dictionary (fused into the
-    // interning loop), so stripped singleton classes — the vast
-    // majority on key-like columns — never allocate anything and the
-    // kernel is a single fill pass.
-    let domain = col.cardinality() + 1;
-    let counts = counts_of(col);
-    // slots[c] is the class of code c, or MAX for stripped codes
-    // (count < 2; code 0 = the NULL class, kept like any other).
-    let mut slots: Vec<u32> = vec![u32::MAX; domain];
-    let mut classes: Vec<Vec<usize>> = Vec::new();
-    for (c, &n) in counts.iter().enumerate() {
-        if n >= 2 {
-            slots[c] = classes.len() as u32;
-            classes.push(Vec::with_capacity(n as usize));
-        }
-    }
-    for (i, &c) in col.codes().iter().enumerate() {
-        let s = slots[c as usize];
-        if s != u32::MAX {
-            classes[s as usize].push(i);
-        }
-    }
-    // Rows were pushed in ascending order; only the outer order needs
-    // normalizing to match `from_groups`.
-    classes.sort();
-    StrippedPartition {
-        classes,
-        rows: col.rows(),
-    }
-}
-
-/// The stripped partition over `cols` (NULL = NULL), built in one
-/// grouping pass over packed code keys. Equals
-/// [`StrippedPartition::for_attrs`]: grouping directly by the full
-/// tuple yields the same classes as TANE's chained products, and both
-/// normalize class order identically.
-pub fn partition_cols(cols: &[&ColumnDict], rows: usize) -> StrippedPartition {
-    match cols {
-        [] => StrippedPartition::single_class(rows),
-        [c] => partition1_col(c),
-        [ca, cb] => {
-            let (ca, cb) = (ca.codes(), cb.codes());
-            let mut groups: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
-            for i in 0..rows {
-                groups.entry(pack2(ca[i], cb[i])).or_default().push(i);
-            }
-            strip(groups.into_values(), rows)
-        }
-        _ => {
-            let codes: Vec<&[u32]> = cols.iter().map(|c| c.codes()).collect();
-            let mut groups: FxHashMap<Box<[u32]>, Vec<usize>> = FxHashMap::default();
-            let mut scratch: Vec<u32> = vec![0; cols.len()];
-            for i in 0..rows {
-                for (s, c) in scratch.iter_mut().zip(&codes) {
-                    *s = c[i];
-                }
-                if let Some(g) = groups.get_mut(scratch.as_slice()) {
-                    g.push(i);
-                } else {
-                    groups.insert(scratch.clone().into_boxed_slice(), vec![i]);
-                }
-            }
-            strip(groups.into_values(), rows)
-        }
-    }
-}
-
-/// Row-index groups (size ≥ 2) agreeing on `cols` under SQL semantics
-/// — rows with a NULL among the projection are skipped.
-/// Deterministically ordered; the encoded counterpart of the LHS-group
-/// builder behind `StatsEngine::fd_holds`.
-pub fn lhs_groups_cols(cols: &[&ColumnDict], rows: usize) -> Vec<Vec<usize>> {
-    match cols {
-        [] => {
-            // No attributes, no NULLs to skip: all rows agree.
-            if rows >= 2 {
-                vec![(0..rows).collect()]
-            } else {
-                Vec::new()
-            }
-        }
-        [col] => {
-            // Sizes from the dictionary's fused counts (as in
-            // [`partition1_col`]): singleton codes — the common case on
-            // key-like columns — never allocate a group.
-            let counts = counts_of(col);
-            let mut slots: Vec<u32> = vec![u32::MAX; counts.len()];
-            let mut groups: Vec<Vec<usize>> = Vec::new();
-            for (c, &n) in counts.iter().enumerate() {
-                if c != NULL_CODE as usize && n >= 2 {
-                    slots[c] = groups.len() as u32;
-                    groups.push(Vec::with_capacity(n as usize));
-                }
-            }
-            for (i, &c) in col.codes().iter().enumerate() {
-                let s = slots[c as usize];
-                if c != NULL_CODE && s != u32::MAX {
-                    groups[s as usize].push(i);
-                }
-            }
-            groups.sort();
-            groups
-        }
-        [ca, cb] => {
-            let (ca, cb) = (ca.codes(), cb.codes());
-            let mut map: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
-            for i in 0..rows {
-                if ca[i] != NULL_CODE && cb[i] != NULL_CODE {
-                    map.entry(pack2(ca[i], cb[i])).or_default().push(i);
-                }
-            }
-            let mut groups: Vec<Vec<usize>> = map.into_values().filter(|g| g.len() >= 2).collect();
-            groups.sort();
-            groups
-        }
-        _ => {
-            let codes: Vec<&[u32]> = cols.iter().map(|c| c.codes()).collect();
-            let mut map: FxHashMap<Box<[u32]>, Vec<usize>> = FxHashMap::default();
-            let mut scratch: Vec<u32> = vec![0; cols.len()];
-            'rows: for i in 0..rows {
-                for (s, c) in scratch.iter_mut().zip(&codes) {
-                    let code = c[i];
-                    if code == NULL_CODE {
-                        continue 'rows;
-                    }
-                    *s = code;
-                }
-                if let Some(g) = map.get_mut(scratch.as_slice()) {
-                    g.push(i);
-                } else {
-                    map.insert(scratch.clone().into_boxed_slice(), vec![i]);
-                }
-            }
-            let mut groups: Vec<Vec<usize>> = map.into_values().filter(|g| g.len() >= 2).collect();
-            groups.sort();
-            groups
-        }
-    }
-}
-
-/// Does `lhs → rhs` hold under SQL semantics (NULL-LHS rows skipped)?
-/// Single pass, first-witness comparison on codes; same answer as
-/// `Database::fd_holds` — structural `Value` equality coincides with
-/// code equality because both sides intern through the same `Eq`.
-pub fn fd_holds_cols(lhs: &[&ColumnDict], rhs: &[&ColumnDict], rows: usize) -> bool {
-    let rcols: Vec<&[u32]> = rhs.iter().map(|c| c.codes()).collect();
-    let agree = |i: usize, j: usize| rcols.iter().all(|c| c[i] == c[j]);
-    match lhs {
-        [] => {
-            // Empty LHS: every row must agree on the RHS.
-            (1..rows).all(|i| agree(0, i))
-        }
-        [col] => {
-            let mut first: Vec<usize> = vec![usize::MAX; col.cardinality() + 1];
-            for (i, &c) in col.codes().iter().enumerate() {
-                if c == NULL_CODE {
-                    continue;
-                }
-                let f = first[c as usize];
-                if f == usize::MAX {
-                    first[c as usize] = i;
-                } else if !agree(i, f) {
-                    return false;
-                }
-            }
-            true
-        }
-        [ca, cb] => {
-            let (ca, cb) = (ca.codes(), cb.codes());
-            let mut first: FxHashMap<u64, usize> = FxHashMap::default();
-            for i in 0..rows {
-                if ca[i] == NULL_CODE || cb[i] == NULL_CODE {
-                    continue;
-                }
-                match first.entry(pack2(ca[i], cb[i])) {
-                    Entry::Occupied(e) => {
-                        if !agree(i, *e.get()) {
-                            return false;
-                        }
-                    }
-                    Entry::Vacant(e) => {
-                        e.insert(i);
-                    }
-                }
-            }
-            true
-        }
-        _ => {
-            let codes: Vec<&[u32]> = lhs.iter().map(|c| c.codes()).collect();
-            let mut first: FxHashMap<Box<[u32]>, usize> = FxHashMap::default();
-            let mut scratch: Vec<u32> = vec![0; lhs.len()];
-            'rows: for i in 0..rows {
-                for (s, c) in scratch.iter_mut().zip(&codes) {
-                    let code = c[i];
-                    if code == NULL_CODE {
-                        continue 'rows;
-                    }
-                    *s = code;
-                }
-                if let Some(&f) = first.get(scratch.as_slice()) {
-                    if !agree(i, f) {
-                        return false;
-                    }
-                } else {
-                    first.insert(scratch.clone().into_boxed_slice(), i);
-                }
-            }
-            true
-        }
-    }
-}
-
 /// The plurality right-hand side of one LHS group: how many of the
 /// group's rows carry its most frequent RHS tuple, and the first row
 /// carrying it.
@@ -900,7 +576,8 @@ pub struct Plurality {
 }
 
 /// Per-group plurality of the RHS tuple on `rhs`, for row groups as
-/// [`lhs_groups_cols`] and `CountBackend::lhs_groups` produce them.
+/// [`crate::kernels::lhs_groups`] and `CountBackend::lhs_groups`
+/// produce them.
 /// NULL RHS codes group as ordinary values. A tie goes to the tuple
 /// whose first row comes first.
 ///
@@ -1049,12 +726,12 @@ pub fn decode_rows_cols(cols: &[&ColumnDict], rows: &[usize]) -> Result<Table, R
 
 /// A fully dictionary-encoded table: one shared [`ColumnDict`] per
 /// attribute (cheap to assemble from per-column caches — see
-/// [`crate::stats::StatsEngine::dict`]).
+/// [`crate::backend::EncodedBackend::dict`]).
 ///
 /// Immutable and `Sync` after construction, so parallel workers share
 /// the codes read-only. Whole-table consumers (TANE, SPIDER, key
-/// discovery, `check_encoded`) use this; per-projection consumers go
-/// through the column-slice kernels directly.
+/// discovery) use this; per-projection consumers run the
+/// [`crate::kernels`] over the column dictionaries directly.
 #[derive(Debug, Clone, Default)]
 pub struct DictTable {
     columns: Vec<Arc<ColumnDict>>,
@@ -1098,57 +775,12 @@ impl DictTable {
         self.columns[attr.index()].as_ref()
     }
 
-    /// The column dictionaries of `attrs`, hoisted once so row loops
-    /// never re-walk the attribute lookup.
-    fn cols(&self, attrs: &[AttrId]) -> Vec<&ColumnDict> {
-        attrs.iter().map(|a| self.column(*a)).collect()
-    }
-
-    /// `‖r[attrs]‖` under SQL semantics; see [`count_distinct_cols`].
-    pub fn count_distinct(&self, attrs: &[AttrId]) -> usize {
-        count_distinct_cols(&self.cols(attrs), self.rows)
-    }
-
-    /// Distinct projected code tuples; see [`distinct_codes_cols`].
-    pub fn distinct_codes(&self, attrs: &[AttrId]) -> EncodedSet {
-        distinct_codes_cols(&self.cols(attrs), self.rows)
-    }
-
-    /// Decodes an [`EncodedSet`] from this table on `attrs`; see
-    /// [`decode_set_cols`].
-    pub fn decode_set(&self, attrs: &[AttrId], set: &EncodedSet) -> HashSet<ProjKey> {
-        decode_set_cols(&self.cols(attrs), set)
-    }
-
-    /// Unary stripped partition; see [`partition1_col`].
+    /// Unary stripped partition (`NULL = NULL`); see
+    /// [`crate::kernels::partition1`].
     pub fn partition1(&self, attr: AttrId) -> StrippedPartition {
-        partition1_col(self.column(attr))
+        let Ok(p) = crate::kernels::partition1(self.column(attr), self.rows);
+        p
     }
-
-    /// Stripped partition over `attrs`; see [`partition_cols`].
-    pub fn partition(&self, attrs: &[AttrId]) -> StrippedPartition {
-        partition_cols(&self.cols(attrs), self.rows)
-    }
-
-    /// SQL-semantics LHS groups; see [`lhs_groups_cols`].
-    pub fn lhs_groups(&self, attrs: &[AttrId]) -> Vec<Vec<usize>> {
-        lhs_groups_cols(&self.cols(attrs), self.rows)
-    }
-
-    /// SQL-semantics FD check; see [`fd_holds_cols`].
-    pub fn fd_holds(&self, lhs: &[AttrId], rhs: &[AttrId]) -> bool {
-        fd_holds_cols(&self.cols(lhs), &self.cols(rhs), self.rows)
-    }
-}
-
-/// `from_groups` twin for code-keyed grouping: strip singletons,
-/// normalize ordering.
-fn strip(groups: impl IntoIterator<Item = Vec<usize>>, rows: usize) -> StrippedPartition {
-    let mut classes: Vec<Vec<usize>> = groups.into_iter().filter(|g| g.len() >= 2).collect();
-    // Rows were pushed in ascending order; classes arrive unsorted
-    // from the map.
-    classes.sort();
-    StrippedPartition { classes, rows }
 }
 
 /// Per-position code translation `left code → right code`
@@ -1258,25 +890,6 @@ pub fn intersect_count(
     }
 }
 
-/// The three IND-Discovery cardinalities for an encoded join, built
-/// from scratch. Equals [`crate::counting::join_stats`].
-pub fn join_stats_encoded(
-    left: &DictTable,
-    lattrs: &[AttrId],
-    right: &DictTable,
-    rattrs: &[AttrId],
-) -> JoinStats {
-    let lcols: Vec<&ColumnDict> = lattrs.iter().map(|a| left.column(*a)).collect();
-    let rcols: Vec<&ColumnDict> = rattrs.iter().map(|a| right.column(*a)).collect();
-    let lset = distinct_codes_cols(&lcols, left.rows());
-    let rset = distinct_codes_cols(&rcols, right.rows());
-    JoinStats {
-        n_left: lset.len(),
-        n_right: rset.len(),
-        n_join: intersect_count(&lcols, &lset, &rcols, &rset),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1319,90 +932,6 @@ mod tests {
     }
 
     #[test]
-    fn count_distinct_matches_reference() {
-        let t = sample();
-        let d = DictTable::build(&t);
-        for attrs in [
-            vec![a(0)],
-            vec![a(1)],
-            vec![a(0), a(1)],
-            vec![a(1), a(0)],
-            vec![a(0), a(0)],
-            vec![],
-        ] {
-            assert_eq!(
-                d.count_distinct(&attrs),
-                t.count_distinct(&attrs),
-                "attrs {attrs:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn decode_recovers_reference_projection() {
-        let t = sample();
-        let d = DictTable::build(&t);
-        for attrs in [vec![a(0)], vec![a(0), a(1)], vec![a(1), a(0), a(0)]] {
-            let set = d.distinct_codes(&attrs);
-            assert_eq!(
-                d.decode_set(&attrs, &set),
-                t.distinct_projection(&attrs),
-                "attrs {attrs:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn partitions_match_reference() {
-        let t = sample();
-        let d = DictTable::build(&t);
-        for attrs in [vec![a(0)], vec![a(1)], vec![a(0), a(1)], vec![]] {
-            assert_eq!(
-                d.partition(&attrs),
-                StrippedPartition::for_attrs(&t, &attrs),
-                "attrs {attrs:?}"
-            );
-        }
-        assert_eq!(
-            d.partition1(a(0)),
-            StrippedPartition::for_attribute(&t, a(0))
-        );
-    }
-
-    #[test]
-    fn fd_holds_matches_sql_semantics() {
-        // NULL-LHS rows skipped: x → y holds despite the NULL rows.
-        #[allow(clippy::unwrap_used)]
-        let t = Table::from_rows(
-            2,
-            vec![
-                vec![Value::Int(1), Value::Int(10)],
-                vec![Value::Int(1), Value::Int(10)],
-                vec![Value::Null, Value::Int(1)],
-                vec![Value::Null, Value::Int(2)],
-                vec![Value::Int(2), Value::Int(10)],
-            ],
-        )
-        .unwrap();
-        let d = DictTable::build(&t);
-        assert!(d.fd_holds(&[a(0)], &[a(1)]));
-        // y = 10 maps to x ∈ {1, 2}.
-        assert!(!d.fd_holds(&[a(1)], &[a(0)]));
-        // Empty LHS: constant-column test.
-        assert!(!d.fd_holds(&[], &[a(0)]));
-    }
-
-    #[test]
-    fn lhs_groups_skip_null_rows() {
-        let t = sample();
-        let d = DictTable::build(&t);
-        // x: value 1 on rows {0,1}; NULL row 3 skipped.
-        assert_eq!(d.lhs_groups(&[a(0)]), vec![vec![0, 1]]);
-        // (x, y): only (1,'a') repeats.
-        assert_eq!(d.lhs_groups(&[a(0), a(1)]), vec![vec![0, 1]]);
-    }
-
-    #[test]
     fn join_stats_translate_across_tables() {
         #[allow(clippy::unwrap_used)]
         let l = Table::from_rows(
@@ -1422,9 +951,14 @@ mod tests {
                 .collect::<Vec<_>>(),
         )
         .unwrap();
-        let (dl, dr) = (DictTable::build(&l), DictTable::build(&r));
-        let s = join_stats_encoded(&dl, &[a(0)], &dr, &[a(0)]);
-        assert_eq!((s.n_left, s.n_right, s.n_join), (4, 3, 2));
+        let (dl, dr) = (
+            ColumnDict::build(l.column(a(0))),
+            ColumnDict::build(r.column(a(0))),
+        );
+        let Ok(lset) = crate::kernels::distinct_codes(&[&dl], l.len());
+        let Ok(rset) = crate::kernels::distinct_codes(&[&dr], r.len());
+        assert_eq!((lset.len(), rset.len()), (4, 3));
+        assert_eq!(intersect_count(&[&dl], &lset, &[&dr], &rset), 2);
     }
 
     #[test]
@@ -1443,23 +977,10 @@ mod tests {
         let d = DictTable::build(&t);
         // Same-payload NaNs share a code (OrdF64 total order).
         assert_eq!(d.column(a(0)).cardinality(), 2);
-        assert_eq!(d.count_distinct(&[a(0)]), t.count_distinct(&[a(0)]));
         assert_eq!(
             d.partition1(a(0)),
             StrippedPartition::for_attribute(&t, a(0))
         );
-    }
-
-    #[test]
-    fn empty_table_kernels() {
-        let t = Table::new(2);
-        let d = DictTable::build(&t);
-        assert_eq!(d.count_distinct(&[a(0)]), 0);
-        assert_eq!(d.count_distinct(&[a(0), a(1)]), 0);
-        assert!(d.distinct_codes(&[]).is_empty());
-        assert!(d.partition(&[a(0), a(1)]).is_key());
-        assert!(d.fd_holds(&[a(0)], &[a(1)]));
-        assert!(d.lhs_groups(&[a(0)]).is_empty());
     }
 
     #[test]
@@ -1506,10 +1027,14 @@ mod tests {
         assert_eq!(stripped.code_counts().len(), 0);
         let mut manual = built.clone();
         manual.counts = Vec::new();
-        assert_eq!(partition1_col(&manual), partition1_col(&built));
+        let rows = t.len();
         assert_eq!(
-            lhs_groups_cols(&[&manual], t.len()),
-            lhs_groups_cols(&[&built], t.len())
+            crate::kernels::partition1(&manual, rows),
+            crate::kernels::partition1(&built, rows)
+        );
+        assert_eq!(
+            crate::kernels::lhs_groups(&[&manual], rows),
+            crate::kernels::lhs_groups(&[&built], rows)
         );
     }
 
@@ -1572,9 +1097,8 @@ mod tests {
         );
         assert_eq!(assembled.rows(), built.rows());
         assert_eq!(assembled.arity(), built.arity());
-        assert_eq!(
-            assembled.distinct_codes(&[a(0), a(1)]),
-            built.distinct_codes(&[a(0), a(1)])
-        );
+        for i in 0..t.arity() {
+            assert_eq!(assembled.column(a(i as u16)), built.column(a(i as u16)));
+        }
     }
 }

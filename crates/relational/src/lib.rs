@@ -39,6 +39,7 @@ pub mod error;
 pub mod fasthash;
 pub mod fd_theory;
 pub mod ind_theory;
+pub mod kernels;
 pub mod normal_forms;
 pub mod pages;
 pub mod par;

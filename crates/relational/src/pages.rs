@@ -1,25 +1,25 @@
-//! The paged columnar store: dictionary codes on disk, counting
-//! kernels streaming over fixed-size pages.
+//! The paged columnar store: dictionary codes on disk, read page by
+//! page through a shared buffer pool.
 //!
 //! The in-memory backends cap the extension at what fits in RAM; the
 //! paper's target — 100M-row legacy databases — does not. This module
 //! keeps each encoded column's per-row `u32` codes (NULL = 0, exactly
 //! the [`crate::encode::ColumnDict`] code space) in a spill file of
 //! fixed [`PAGE_BYTES`] pages behind a small header, while the
-//! *dictionary* halves (decode table, encode index, NULL count) stay
-//! resident as a codes-free [`ColumnDict::slim`] copy. (A column
-//! encoded from memory that fits in one page stays resident whole:
-//! its own spill file would cost more than it saves.) Every counting
-//! kernel the pipeline needs — `count_distinct`, `join_stats`,
-//! `lhs_groups`, counting-sort partitions — re-runs the PR 3 encoded
-//! kernels page slice by page slice through a shared LRU
-//! [`BufferPool`], so the resident working set is bounded by the pool
-//! capacity, not the extension size.
+//! *dictionary* halves (decode table, encode index, NULL count, fused
+//! per-code counts) stay resident as a codes-free [`ColumnDict::slim`]
+//! copy. (A column encoded from memory that fits in one page stays
+//! resident whole: its own spill file would cost more than it saves.)
 //!
-//! Cross-column kernels that never touch per-row codes —
+//! A spilled column plus its [`BufferPool`] is a [`PagedSource`], one
+//! of the two [`CodeSource`]s the single set of counting kernels in
+//! [`crate::kernels`] runs over — the other is an in-RAM `ColumnDict`.
+//! The kernels pin one page per column at a time, so the resident
+//! working set is bounded by the pool capacity, not the extension
+//! size. Cross-column kernels that never touch per-row codes —
 //! [`crate::encode::intersect_count`], [`crate::encode::code_translation`],
-//! [`crate::encode::decode_set_cols`] — are reused *unchanged* on the
-//! slim dictionaries; only the row-scan loops needed paged twins.
+//! [`crate::encode::decode_set_cols`] — run on the slim dictionaries
+//! unchanged.
 //!
 //! [`PagedBackend`] packages the store as the fourth
 //! `BackendChoice`: spill-on-encode from the same generation-tagged
@@ -37,8 +37,8 @@ use crate::bufpool::{BufferPool, PageCacheStats, PageKey};
 use crate::counting::{join_stats, EquiJoin, JoinStats};
 use crate::database::Database;
 use crate::deps::Fd;
-use crate::encode::{decode_set_cols, intersect_count, ColumnDict, EncodedSet, NULL_CODE};
-use crate::fasthash::{FxHashMap, FxHashSet};
+use crate::encode::{decode_set_cols, intersect_count, ColumnDict};
+use crate::kernels::{self, CodeSource};
 use crate::partitions::StrippedPartition;
 use crate::schema::RelId;
 use crate::sketch::ColumnSketch;
@@ -298,9 +298,18 @@ impl PageFile {
     /// header checksum — the integrity check for files of unknown
     /// provenance (crash recovery, the fuzz corpus).
     pub fn verify_checksum(&self) -> Result<(), PageError> {
+        self.scan_verified(|_| {})
+    }
+
+    /// [`PageFile::verify_checksum`] that also hands every page, in
+    /// order, to `f` — one sequential read serves both the integrity
+    /// check and a caller's own pass over the codes.
+    pub(crate) fn scan_verified(&self, mut f: impl FnMut(&[u32])) -> Result<(), PageError> {
         let mut hash = FNV_OFFSET;
         for p in 0..self.pages {
-            hash = fnv1a64(hash, &self.read_page(p)?);
+            let page = self.read_page(p)?;
+            hash = fnv1a64(hash, &page);
+            f(&page);
         }
         if hash != self.checksum {
             return Err(PageError::Checksum {
@@ -579,619 +588,43 @@ impl PagedColumn {
     }
 }
 
-/// Worker threads for chunked page scans. Off-feature this is 1 (the
-/// chunked kernels collapse to their serial shape); with the
-/// `parallel` feature it follows the machine, overridable through
-/// `DBRE_PAGED_THREADS` (clamped to 1..=64) so scaling can be
-/// measured — and the parallel code paths exercised — regardless of
-/// the host's core count.
-fn paged_threads() -> usize {
-    #[cfg(not(feature = "parallel"))]
-    {
-        1
-    }
-    #[cfg(feature = "parallel")]
-    {
-        if let Ok(v) = std::env::var("DBRE_PAGED_THREADS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                return n.clamp(1, 64);
-            }
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+/// A spilled column read through a buffer pool: the
+/// [`CodeSource`] the paged backend hands to the [`crate::kernels`].
+/// Pages are pinned `Arc`s, so a capacity-1 pool evicting under a
+/// multi-column scan is slow but never wrong.
+#[derive(Debug, Clone, Copy)]
+pub struct PagedSource<'a> {
+    col: &'a PagedColumn,
+    pool: &'a BufferPool,
+}
+
+impl<'a> PagedSource<'a> {
+    /// `col`'s pages, read through `pool`.
+    pub fn new(col: &'a PagedColumn, pool: &'a BufferPool) -> Self {
+        PagedSource { col, pool }
     }
 }
 
-/// Splits `pages` into at most `threads` contiguous ranges. Chunk
-/// boundaries depend only on (pages, threads), so a merge in chunk
-/// order is deterministic.
-fn page_chunks(pages: usize, threads: usize) -> Vec<std::ops::Range<usize>> {
-    if pages == 0 {
-        return Vec::new();
-    }
-    let n = threads.clamp(1, pages);
-    let per = pages.div_ceil(n);
-    (0..pages)
-        .step_by(per)
-        .map(|s| s..(s + per).min(pages))
-        .collect()
-}
+impl CodeSource for PagedSource<'_> {
+    type Page = Arc<Vec<u32>>;
+    type Error = PageError;
+    const BLOCKING: bool = true;
 
-/// Runs `f` over every chunk, one scoped thread per chunk when the
-/// `parallel` feature is on and there is more than one chunk, inline
-/// otherwise. Results come back **in chunk order** regardless of
-/// completion order — the determinism the merges rely on.
-fn run_chunks<R, F>(chunks: &[std::ops::Range<usize>], f: F) -> Vec<Result<R, PageError>>
-where
-    R: Send,
-    F: Fn(std::ops::Range<usize>) -> Result<R, PageError> + Sync,
-{
-    #[cfg(feature = "parallel")]
-    if chunks.len() > 1 {
-        let mut out: Vec<Option<Result<R, PageError>>> = Vec::new();
-        out.resize_with(chunks.len(), || None);
-        std::thread::scope(|scope| {
-            for (slot, chunk) in out.iter_mut().zip(chunks) {
-                let fr = &f;
-                scope.spawn(move || {
-                    *slot = Some(fr(chunk.clone()));
-                });
-            }
-        });
-        return out
-            .into_iter()
-            .map(|r| {
-                // Invariant: the scope joins every worker, and each
-                // worker's only job is to fill its slot.
-                #[allow(clippy::expect_used)]
-                r.expect("chunk worker filled its slot before scope exit")
-            })
-            .collect();
+    fn dict(&self) -> &ColumnDict {
+        &self.col.dict
     }
-    chunks.iter().map(|c| f(c.clone())).collect()
-}
 
-/// Folds chunk partials, in chunk order, into the first one — a lone
-/// chunk (every serial scan) is the result as is, never copied into a
-/// fresh accumulator. No chunks (an empty column) yield `R::default()`.
-fn merge_parts<R: Default>(
-    parts: Vec<Result<R, PageError>>,
-    mut merge: impl FnMut(&mut R, R),
-) -> Result<R, PageError> {
-    let mut parts = parts.into_iter();
-    let mut acc = match parts.next() {
-        Some(first) => first?,
-        None => R::default(),
-    };
-    for part in parts {
-        merge(&mut acc, part?);
-    }
-    Ok(acc)
-}
-
-/// How many page groups the prefetching reader may run ahead of the
-/// consumer.
-#[cfg(feature = "parallel")]
-const PREFETCH_DEPTH: usize = 2;
-
-/// Streams `range`'s pages over `cols` in lockstep, calling
-/// `f(base_row, slices)` once per page in order. Holding the `Arc`s
-/// across the callback keeps the data alive even if the pool evicts
-/// the entry mid-iteration, so a capacity-1 pool is slow but never
-/// wrong.
-///
-/// Under the `parallel` feature a reader thread fetches pages through
-/// the pool ahead of the consumer (bounded by [`PREFETCH_DEPTH`]),
-/// overlapping page I/O with kernel compute. Pages are still
-/// requested and delivered strictly in order, so results and counter
-/// totals are identical to the plain loop.
-fn stream_page_range<F>(
-    cols: &[&PagedColumn],
-    pool: &BufferPool,
-    range: std::ops::Range<usize>,
-    mut f: F,
-) -> Result<(), PageError>
-where
-    F: FnMut(usize, &[&[u32]]),
-{
-    #[cfg(feature = "parallel")]
-    if range.len() > 1 {
-        return std::thread::scope(|scope| {
-            let (tx, rx) = std::sync::mpsc::sync_channel(PREFETCH_DEPTH);
-            let reader = range.clone();
-            scope.spawn(move || {
-                for p in reader {
-                    let group: Result<Vec<Arc<Vec<u32>>>, PageError> =
-                        cols.iter().map(|c| c.page(pool, p as u32)).collect();
-                    let stop = group.is_err();
-                    if tx.send(group).is_err() || stop {
-                        return;
-                    }
-                }
-            });
-            for (p, group) in range.clone().zip(rx.iter()) {
-                let owned = group?;
-                let slices: Vec<&[u32]> = owned.iter().map(|a| a.as_slice()).collect();
-                f(p * PAGE_CODES, &slices);
-            }
-            Ok(())
-        });
-    }
-    for p in range {
-        let owned: Vec<Arc<Vec<u32>>> = cols
-            .iter()
-            .map(|c| c.page(pool, p as u32))
-            .collect::<Result<_, _>>()?;
-        let slices: Vec<&[u32]> = owned.iter().map(|a| a.as_slice()).collect();
-        f(p * PAGE_CODES, &slices);
-    }
-    Ok(())
-}
-
-#[inline]
-fn pack2(hi: u32, lo: u32) -> u64 {
-    (u64::from(hi) << 32) | u64::from(lo)
-}
-
-/// Paged twin of [`crate::encode::distinct_codes_cols`]: the distinct
-/// non-NULL projected code tuples, streamed page by page — in
-/// parallel per-chunk partials unioned afterwards when the `parallel`
-/// feature (and more than one thread) is in play. Set contents are
-/// identical either way; only insertion order differs, which no
-/// consumer observes.
-pub fn distinct_codes_paged(
-    cols: &[&PagedColumn],
-    rows: usize,
-    pool: &BufferPool,
-) -> Result<EncodedSet, PageError> {
-    let chunks = page_chunks(rows.div_ceil(PAGE_CODES), paged_threads());
-    match cols {
-        [] => {
-            let mut s: FxHashSet<Box<[u32]>> = FxHashSet::default();
-            if rows > 0 {
-                s.insert(Box::from([]));
-            }
-            Ok(EncodedSet::Wide(s))
-        }
-        [c] => Ok(EncodedSet::Unary {
-            card: c.dict.cardinality() as u32,
-        }),
-        [ca, cb] => {
-            let cap = (ca.dict.cardinality() as u64 * cb.dict.cardinality() as u64).min(rows as u64)
-                as usize;
-            let parts = run_chunks(&chunks, |r| {
-                let mut set: FxHashSet<u64> = FxHashSet::default();
-                stream_page_range(cols, pool, r, |_, slices| {
-                    for (&x, &y) in slices[0].iter().zip(slices[1]) {
-                        if x != NULL_CODE && y != NULL_CODE {
-                            set.insert(pack2(x, y));
-                        }
-                    }
-                })?;
-                Ok(set)
-            });
-            let mut set: FxHashSet<u64> =
-                FxHashSet::with_capacity_and_hasher(cap, Default::default());
-            for part in parts {
-                set.extend(part?);
-            }
-            Ok(EncodedSet::Packed(set))
-        }
-        _ => {
-            let parts = run_chunks(&chunks, |r| {
-                let mut set: FxHashSet<Box<[u32]>> = FxHashSet::default();
-                let mut scratch: Vec<u32> = vec![0; cols.len()];
-                stream_page_range(cols, pool, r, |_, slices| {
-                    'rows: for i in 0..slices[0].len() {
-                        for (s, c) in scratch.iter_mut().zip(slices) {
-                            let code = c[i];
-                            if code == NULL_CODE {
-                                continue 'rows;
-                            }
-                            *s = code;
-                        }
-                        if !set.contains(scratch.as_slice()) {
-                            set.insert(scratch.clone().into_boxed_slice());
-                        }
-                    }
-                })?;
-                Ok(set)
-            });
-            Ok(EncodedSet::Wide(merge_parts(parts, |set, part| {
-                set.extend(part)
-            })?))
-        }
-    }
-}
-
-/// Paged twin of [`crate::encode::count_distinct_cols`], including
-/// the dense-bitset pair fast path.
-pub fn count_distinct_paged(
-    cols: &[&PagedColumn],
-    rows: usize,
-    pool: &BufferPool,
-) -> Result<usize, PageError> {
-    match cols {
-        [c] => Ok(c.dict.cardinality()),
-        [ca, cb] => {
-            let domain = ca.dict.cardinality() as u64 * cb.dict.cardinality() as u64;
-            const BITSET_MAX: u64 = 1 << 22;
-            if domain > 0 && domain <= BITSET_MAX {
-                let width = cb.dict.cardinality() as u64;
-                let words = (domain as usize).div_ceil(64);
-                let chunks = page_chunks(rows.div_ceil(PAGE_CODES), paged_threads());
-                let parts = run_chunks(&chunks, |r| {
-                    let mut bits = vec![0u64; words];
-                    stream_page_range(cols, pool, r, |_, slices| {
-                        for (&x, &y) in slices[0].iter().zip(slices[1]) {
-                            if x == NULL_CODE || y == NULL_CODE {
-                                continue;
-                            }
-                            let idx = (u64::from(x) - 1) * width + (u64::from(y) - 1);
-                            bits[(idx / 64) as usize] |= 1u64 << (idx % 64);
-                        }
-                    })?;
-                    Ok(bits)
-                });
-                let mut acc = vec![0u64; words];
-                for part in parts {
-                    for (a, b) in acc.iter_mut().zip(part?) {
-                        *a |= b;
-                    }
-                }
-                Ok(acc.iter().map(|w| w.count_ones() as usize).sum())
-            } else {
-                Ok(distinct_codes_paged(cols, rows, pool)?.len())
-            }
-        }
-        _ => Ok(distinct_codes_paged(cols, rows, pool)?.len()),
-    }
-}
-
-/// Per-code occurrence counts of one column. The resident dictionary
-/// carries them for free since the counts fusion
-/// ([`ColumnDict::code_counts`]); any dictionary without them (a
-/// foreign length is treated as "unavailable" by convention) costs
-/// one chunked counting pass over the pages. Index 0 is the NULL
-/// count.
-fn code_counts_paged(col: &PagedColumn, pool: &BufferPool) -> Result<Vec<u32>, PageError> {
-    let domain = col.dict.cardinality() + 1;
-    let dc = col.dict.code_counts();
-    if dc.len() == domain {
-        return Ok(dc.iter().map(|&n| n as u32).collect());
-    }
-    let cols = [col];
-    let chunks = page_chunks(col.rows.div_ceil(PAGE_CODES), paged_threads());
-    let parts = run_chunks(&chunks, |r| {
-        let mut counts: Vec<u32> = vec![0; domain];
-        stream_page_range(&cols, pool, r, |_, slices| {
-            for &c in slices[0] {
-                counts[c as usize] += 1;
-            }
+    fn page(&self, page: usize) -> Result<Arc<Vec<u32>>, PageError> {
+        let page = u32::try_from(page).map_err(|_| PageError::PageOutOfBounds {
+            page: u32::MAX,
+            pages: self.col.file().map_or(1, PageFile::pages),
         })?;
-        Ok(counts)
-    });
-    let mut acc = vec![0u32; domain];
-    for part in parts {
-        for (a, b) in acc.iter_mut().zip(part?) {
-            *a += b;
-        }
-    }
-    Ok(acc)
-}
-
-/// Builds the counting-sort slot table: `slots[c]` is the dense group
-/// index of code `c`, `u32::MAX` for codes that form no group
-/// (occurrence < 2, or NULL when `skip_null`). Returns the slot table
-/// and each group's size.
-fn group_slots(counts: &[u32], skip_null: bool) -> (Vec<u32>, Vec<usize>) {
-    let mut slots: Vec<u32> = vec![u32::MAX; counts.len()];
-    let mut sizes: Vec<usize> = Vec::new();
-    let start = usize::from(skip_null);
-    for (c, &n) in counts.iter().enumerate().skip(start) {
-        if n >= 2 {
-            slots[c] = sizes.len() as u32;
-            sizes.push(n as usize);
-        }
-    }
-    (slots, sizes)
-}
-
-/// The chunked counting-sort fill pass shared by [`lhs_groups_paged`]
-/// and [`partition1_paged`]: every row whose code has a slot lands in
-/// its group, chunk partials concatenated in chunk order so row ids
-/// stay ascending — byte-identical to the serial fill.
-fn fill_groups_paged(
-    col: &PagedColumn,
-    rows: usize,
-    pool: &BufferPool,
-    slots: &[u32],
-    sizes: &[usize],
-) -> Result<Vec<Vec<usize>>, PageError> {
-    let cols = [col];
-    let chunks = page_chunks(rows.div_ceil(PAGE_CODES), paged_threads());
-    let parts = run_chunks(&chunks, |r| {
-        // A lone chunk fills the final groups: size them exactly.
-        let mut part: Vec<Vec<usize>> = if chunks.len() == 1 {
-            sizes.iter().map(|&n| Vec::with_capacity(n)).collect()
-        } else {
-            vec![Vec::new(); sizes.len()]
-        };
-        stream_page_range(&cols, pool, r, |base, slices| {
-            for (i, &c) in slices[0].iter().enumerate() {
-                let s = slots[c as usize];
-                if s != u32::MAX {
-                    part[s as usize].push(base + i);
-                }
-            }
-        })?;
-        Ok(part)
-    });
-    merge_parts(parts, |groups: &mut Vec<Vec<usize>>, part| {
-        for (g, p) in groups.iter_mut().zip(part) {
-            g.extend(p);
-        }
-    })
-}
-
-/// Paged twin of [`crate::encode::lhs_groups_cols`]: SQL-semantics
-/// row groups (size ≥ 2), page base offsets restoring global row ids.
-/// Unary group sizes come straight from the dictionary's fused
-/// occurrence counts (no counting pass); the fill pass — and the
-/// hash-grouped multi-column arms — run as per-chunk partials merged
-/// in chunk order, so the result is byte-identical to the serial
-/// scan.
-pub fn lhs_groups_paged(
-    cols: &[&PagedColumn],
-    rows: usize,
-    pool: &BufferPool,
-) -> Result<Vec<Vec<usize>>, PageError> {
-    let chunks = page_chunks(rows.div_ceil(PAGE_CODES), paged_threads());
-    match cols {
-        [] => Ok(if rows >= 2 {
-            vec![(0..rows).collect()]
-        } else {
-            Vec::new()
-        }),
-        [col] => {
-            let counts = code_counts_paged(col, pool)?;
-            // slots[NULL_CODE] stays MAX (SQL semantics: NULL rows
-            // never group), so the fill pass needs no NULL check.
-            let (slots, sizes) = group_slots(&counts, true);
-            let mut groups = fill_groups_paged(col, rows, pool, &slots, &sizes)?;
-            groups.sort();
-            Ok(groups)
-        }
-        [_, _] => {
-            let parts = run_chunks(&chunks, |r| {
-                let mut map: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
-                stream_page_range(cols, pool, r, |base, slices| {
-                    for (i, (&x, &y)) in slices[0].iter().zip(slices[1]).enumerate() {
-                        if x != NULL_CODE && y != NULL_CODE {
-                            map.entry(pack2(x, y)).or_default().push(base + i);
-                        }
-                    }
-                })?;
-                Ok(map)
-            });
-            let map = merge_parts(parts, |map: &mut FxHashMap<u64, Vec<usize>>, part| {
-                for (k, v) in part {
-                    map.entry(k).or_default().extend(v);
-                }
-            })?;
-            let mut groups: Vec<Vec<usize>> = map.into_values().filter(|g| g.len() >= 2).collect();
-            groups.sort();
-            Ok(groups)
-        }
-        _ => {
-            let parts = run_chunks(&chunks, |r| {
-                let mut map: FxHashMap<Box<[u32]>, Vec<usize>> = FxHashMap::default();
-                let mut scratch: Vec<u32> = vec![0; cols.len()];
-                stream_page_range(cols, pool, r, |base, slices| {
-                    'rows: for i in 0..slices[0].len() {
-                        for (s, c) in scratch.iter_mut().zip(slices) {
-                            let code = c[i];
-                            if code == NULL_CODE {
-                                continue 'rows;
-                            }
-                            *s = code;
-                        }
-                        if let Some(g) = map.get_mut(scratch.as_slice()) {
-                            g.push(base + i);
-                        } else {
-                            map.insert(scratch.clone().into_boxed_slice(), vec![base + i]);
-                        }
-                    }
-                })?;
-                Ok(map)
-            });
-            let map = merge_parts(
-                parts,
-                |map: &mut FxHashMap<Box<[u32]>, Vec<usize>>, part| {
-                    for (k, v) in part {
-                        map.entry(k).or_default().extend(v);
-                    }
-                },
-            )?;
-            let mut groups: Vec<Vec<usize>> = map.into_values().filter(|g| g.len() >= 2).collect();
-            groups.sort();
-            Ok(groups)
-        }
+        self.col.page(self.pool, page)
     }
 }
 
-/// Paged twin of [`crate::encode::partition1_col`]: the unary
-/// stripped partition (mining convention, NULL = NULL). Class sizes
-/// come from the dictionary's fused occurrence counts — NULL included
-/// as its own class — so only the chunked fill pass touches pages.
-pub fn partition1_paged(
-    col: &PagedColumn,
-    pool: &BufferPool,
-) -> Result<StrippedPartition, PageError> {
-    let counts = code_counts_paged(col, pool)?;
-    let (slots, sizes) = group_slots(&counts, false);
-    let mut classes = fill_groups_paged(col, col.rows, pool, &slots, &sizes)?;
-    classes.sort();
-    Ok(StrippedPartition {
-        classes,
-        rows: col.rows,
-    })
-}
-
-/// Paged FD check, SQL semantics (matches the `CountBackend` default:
-/// NULL-LHS rows are skipped, the RHS is compared structurally —
-/// same-dictionary code equality *is* structural `Value` equality,
-/// `NULL = NULL` and `NaN = NaN` included).
-///
-/// One chunked pass over LHS and RHS pages together, keeping a single
-/// RHS **witness tuple** per LHS group instead of materializing row
-/// groups — allocation is bounded by the number of duplicated LHS
-/// values, never the extension, which is what lets an out-of-core FD
-/// probe run in pool-sized memory. Codes are dense `u32`s (a real
-/// code can never be `u32::MAX`), so `u32::MAX` marks "group not seen
-/// yet".
-pub fn fd_holds_paged(
-    lhs: &[&PagedColumn],
-    rhs: &[&PagedColumn],
-    rows: usize,
-    pool: &BufferPool,
-) -> Result<bool, PageError> {
-    if rhs.is_empty() || rows < 2 {
-        return Ok(true);
-    }
-    let arity = rhs.len();
-    let chunks = page_chunks(rows.div_ceil(PAGE_CODES), paged_threads());
-    match lhs {
-        [] => {
-            // One group of every row: holds iff each RHS column is
-            // constant under structural equality — all NULL, or one
-            // value and no NULLs. Pure dictionary metadata, no scan.
-            Ok(rhs.iter().all(|c| {
-                let nulls = c.dict.null_count();
-                nulls == rows || (c.dict.cardinality() == 1 && nulls == 0)
-            }))
-        }
-        [l] => {
-            let counts = code_counts_paged(l, pool)?;
-            let (slots, sizes) = group_slots(&counts, true);
-            if sizes.is_empty() {
-                // Every non-NULL LHS value is unique: nothing to agree on.
-                return Ok(true);
-            }
-            let mut scan: Vec<&PagedColumn> = Vec::with_capacity(1 + arity);
-            scan.push(l);
-            scan.extend(rhs.iter().copied());
-            let parts = run_chunks(&chunks, |r| {
-                let mut witness: Vec<u32> = vec![u32::MAX; sizes.len() * arity];
-                let mut ok = true;
-                stream_page_range(&scan, pool, r, |_, slices| {
-                    if !ok {
-                        return;
-                    }
-                    for (i, &c) in slices[0].iter().enumerate() {
-                        let s = slots[c as usize];
-                        if s == u32::MAX {
-                            continue;
-                        }
-                        let base = s as usize * arity;
-                        if witness[base] == u32::MAX {
-                            for j in 0..arity {
-                                witness[base + j] = slices[1 + j][i];
-                            }
-                        } else {
-                            for j in 0..arity {
-                                if witness[base + j] != slices[1 + j][i] {
-                                    ok = false;
-                                    return;
-                                }
-                            }
-                        }
-                    }
-                })?;
-                Ok(ok.then_some(witness))
-            });
-            let mut acc: Option<Vec<u32>> = None;
-            for part in parts {
-                let Some(w) = part? else { return Ok(false) };
-                match &mut acc {
-                    None => acc = Some(w),
-                    Some(a) => {
-                        for g in 0..sizes.len() {
-                            let base = g * arity;
-                            if w[base] == u32::MAX {
-                                continue;
-                            }
-                            if a[base] == u32::MAX {
-                                a[base..base + arity].copy_from_slice(&w[base..base + arity]);
-                            } else if a[base..base + arity] != w[base..base + arity] {
-                                return Ok(false);
-                            }
-                        }
-                    }
-                }
-            }
-            Ok(true)
-        }
-        _ => {
-            let k = lhs.len();
-            let mut scan: Vec<&PagedColumn> = Vec::with_capacity(k + arity);
-            scan.extend(lhs.iter().copied());
-            scan.extend(rhs.iter().copied());
-            let parts = run_chunks(&chunks, |r| {
-                let mut map: FxHashMap<Box<[u32]>, Box<[u32]>> = FxHashMap::default();
-                let mut key: Vec<u32> = vec![0; k];
-                let mut ok = true;
-                stream_page_range(&scan, pool, r, |_, slices| {
-                    if !ok {
-                        return;
-                    }
-                    'rows: for i in 0..slices[0].len() {
-                        for (s, c) in key.iter_mut().zip(&slices[..k]) {
-                            let code = c[i];
-                            if code == NULL_CODE {
-                                continue 'rows;
-                            }
-                            *s = code;
-                        }
-                        if let Some(w) = map.get(key.as_slice()) {
-                            for (j, &wj) in w.iter().enumerate() {
-                                if wj != slices[k + j][i] {
-                                    ok = false;
-                                    return;
-                                }
-                            }
-                        } else {
-                            let w: Box<[u32]> = (0..arity).map(|j| slices[k + j][i]).collect();
-                            map.insert(key.clone().into_boxed_slice(), w);
-                        }
-                    }
-                })?;
-                Ok(ok.then_some(map))
-            });
-            let mut acc: FxHashMap<Box<[u32]>, Box<[u32]>> = FxHashMap::default();
-            for part in parts {
-                let Some(m) = part? else { return Ok(false) };
-                for (key, w) in m {
-                    match acc.entry(key) {
-                        std::collections::hash_map::Entry::Occupied(e) => {
-                            if *e.get() != w {
-                                return Ok(false);
-                            }
-                        }
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            e.insert(w);
-                        }
-                    }
-                }
-            }
-            Ok(true)
-        }
-    }
-}
-
-/// The out-of-core counting backend: encoded kernels streaming over
-/// spilled code pages through a capacity-bounded [`BufferPool`].
+/// The out-of-core counting backend: the [`crate::kernels`] streaming
+/// over spilled code pages through a capacity-bounded [`BufferPool`].
 ///
 /// Column encoding happens exactly as in the encoded backend (one
 /// interning pass per column per table generation), but the per-row
@@ -1312,6 +745,13 @@ impl PagedBackend {
             .collect()
     }
 
+    /// The columns as kernel sources read through this backend's pool.
+    fn sources<'a>(&'a self, cols: &'a [Arc<PagedColumn>]) -> Vec<PagedSource<'a>> {
+        cols.iter()
+            .map(|c| PagedSource::new(c, &self.pool))
+            .collect()
+    }
+
     fn note_fallback(&self) {
         self.fallbacks.fetch_add(1, Ordering::Relaxed);
     }
@@ -1367,10 +807,9 @@ impl CountBackend for PagedBackend {
 
     fn count_distinct(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> usize {
         let rows = db.table(rel).len();
-        let probe = self.attr_columns(db, rel, attrs).and_then(|cols| {
-            let refs: Vec<&PagedColumn> = cols.iter().map(Arc::as_ref).collect();
-            count_distinct_paged(&refs, rows, &self.pool)
-        });
+        let probe = self
+            .attr_columns(db, rel, attrs)
+            .and_then(|cols| kernels::count_distinct(&self.sources(&cols), rows));
         match probe {
             Ok(n) => n,
             Err(e) => {
@@ -1386,10 +825,8 @@ impl CountBackend for PagedBackend {
             let rrows = db.table(join.right.rel).len();
             let lcols = self.attr_columns(db, join.left.rel, &join.left.attrs)?;
             let rcols = self.attr_columns(db, join.right.rel, &join.right.attrs)?;
-            let lrefs: Vec<&PagedColumn> = lcols.iter().map(Arc::as_ref).collect();
-            let rrefs: Vec<&PagedColumn> = rcols.iter().map(Arc::as_ref).collect();
-            let lset = distinct_codes_paged(&lrefs, lrows, &self.pool)?;
-            let rset = distinct_codes_paged(&rrefs, rrows, &self.pool)?;
+            let lset = kernels::distinct_codes(&self.sources(&lcols), lrows)?;
+            let rset = kernels::distinct_codes(&self.sources(&rcols), rrows)?;
             // The intersection kernel reads only dictionary lookups
             // (`code_translation`, `code_of`), never per-row codes, so
             // the slim dictionaries drive it unchanged.
@@ -1413,10 +850,9 @@ impl CountBackend for PagedBackend {
 
     fn lhs_groups(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> Arc<Vec<Vec<usize>>> {
         let rows = db.table(rel).len();
-        let probe = self.attr_columns(db, rel, attrs).and_then(|cols| {
-            let refs: Vec<&PagedColumn> = cols.iter().map(Arc::as_ref).collect();
-            lhs_groups_paged(&refs, rows, &self.pool)
-        });
+        let probe = self
+            .attr_columns(db, rel, attrs)
+            .and_then(|cols| kernels::lhs_groups(&self.sources(&cols), rows));
         match probe {
             Ok(groups) => Arc::new(groups),
             Err(e) => {
@@ -1429,8 +865,7 @@ impl CountBackend for PagedBackend {
     fn projection(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> Arc<HashSet<ProjKey>> {
         let rows = db.table(rel).len();
         let probe = self.attr_columns(db, rel, attrs).and_then(|cols| {
-            let refs: Vec<&PagedColumn> = cols.iter().map(Arc::as_ref).collect();
-            let set = distinct_codes_paged(&refs, rows, &self.pool)?;
+            let set = kernels::distinct_codes(&self.sources(&cols), rows)?;
             // Decoding touches only the decode tables of the slim
             // dictionaries.
             let dicts: Vec<&ColumnDict> = cols.iter().map(|c| c.dict.as_ref()).collect();
@@ -1448,7 +883,7 @@ impl CountBackend for PagedBackend {
     fn partition1(&self, db: &Database, rel: RelId, attr: AttrId) -> Arc<StrippedPartition> {
         let probe = self
             .paged_column(db, rel, attr)
-            .and_then(|col| partition1_paged(&col, &self.pool));
+            .and_then(|col| kernels::partition1(PagedSource::new(&col, &self.pool), col.rows));
         match probe {
             Ok(p) => Arc::new(p),
             Err(e) => {
@@ -1465,9 +900,7 @@ impl CountBackend for PagedBackend {
         let probe = (|| -> Result<bool, PageError> {
             let lcols = self.attr_columns(db, fd.rel, &lhs)?;
             let rcols = self.attr_columns(db, fd.rel, &rhs)?;
-            let lrefs: Vec<&PagedColumn> = lcols.iter().map(Arc::as_ref).collect();
-            let rrefs: Vec<&PagedColumn> = rcols.iter().map(Arc::as_ref).collect();
-            fd_holds_paged(&lrefs, &rrefs, rows, &self.pool)
+            kernels::fd_holds(&self.sources(&lcols), &self.sources(&rcols), rows)
         })();
         match probe {
             Ok(b) => b,
@@ -1869,68 +1302,6 @@ mod tests {
         assert!(CountBackend::fd_holds(&paged, &db2, &fd2));
         assert!(db2.fd_holds(&fd2));
         assert_eq!(paged.exec_stats().fallback_failures, 0);
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn chunked_kernels_match_reference_across_thread_counts() {
-        // DBRE_PAGED_THREADS is read per kernel call; every thread
-        // count must give byte-identical answers. Concurrent paged
-        // tests seeing the transient value is fine — that is exactly
-        // the invariant under test.
-        let mut db = Database::new();
-        let rel = db
-            .add_relation(Relation::of("P", &[("x", Domain::Int), ("y", Domain::Int)]))
-            .unwrap();
-        let rows = PAGE_CODES * 5 + 321;
-        for i in 0..rows {
-            let x = if i % 53 == 0 {
-                Value::Null
-            } else {
-                Value::Int((i % 2111) as i64)
-            };
-            db.insert(rel, vec![x, Value::Int((i % 17) as i64)])
-                .unwrap();
-        }
-        let reference = ReferenceBackend;
-        for threads in ["1", "2", "5"] {
-            std::env::set_var("DBRE_PAGED_THREADS", threads);
-            let paged = PagedBackend::new();
-            for attrs in [vec![AttrId(0)], vec![AttrId(0), AttrId(1)]] {
-                assert_eq!(
-                    paged.count_distinct(&db, rel, &attrs),
-                    reference.count_distinct(&db, rel, &attrs),
-                    "threads={threads} attrs={attrs:?}"
-                );
-            }
-            assert_eq!(
-                *paged.lhs_groups(&db, rel, &[AttrId(0)]),
-                *reference.lhs_groups(&db, rel, &[AttrId(0)]),
-                "threads={threads}"
-            );
-            assert_eq!(
-                *paged.lhs_groups(&db, rel, &[AttrId(0), AttrId(1)]),
-                *reference.lhs_groups(&db, rel, &[AttrId(0), AttrId(1)]),
-                "threads={threads}"
-            );
-            assert_eq!(
-                *paged.partition1(&db, rel, AttrId(0)),
-                *reference.partition1(&db, rel, AttrId(0)),
-                "threads={threads}"
-            );
-            let fd = Fd {
-                rel,
-                lhs: crate::attr::AttrSet::from_indices([0u16]),
-                rhs: crate::attr::AttrSet::from_indices([1u16]),
-            };
-            assert_eq!(
-                CountBackend::fd_holds(&paged, &db, &fd),
-                db.fd_holds(&fd),
-                "threads={threads}"
-            );
-            assert_eq!(paged.exec_stats().fallback_failures, 0);
-        }
-        std::env::remove_var("DBRE_PAGED_THREADS");
     }
 
     #[test]

@@ -22,8 +22,9 @@ use crate::bufpool::BufferPool;
 use crate::database::Database;
 use crate::encode::ColumnDict;
 use crate::error::DbreError;
-use crate::pages::{fnv1a64_bytes, lhs_groups_paged, FNV_BYTES_SEED};
-use crate::pages::{PageError, PageFile, PagedColumn};
+use crate::kernels;
+use crate::pages::{fnv1a64_bytes, FNV_BYTES_SEED};
+use crate::pages::{PageError, PageFile, PagedColumn, PagedSource};
 use crate::schema::{RelId, Relation};
 use crate::value::{Date, OrdF64, Value};
 use std::io::Read;
@@ -354,9 +355,11 @@ pub(crate) fn write_manifest(dir: &Path, rows: usize, arity: usize) -> Result<()
 
 /// Attempts to load a cache entry for a table of `arity` columns.
 /// Every page file is checksum-verified in full (one sequential read
-/// — still far cheaper than re-parsing and re-encoding the source)
-/// and every dictionary must decode and agree with its page file's
-/// row count. Any failure is a miss (`None`); the caller re-encodes
+/// — still far cheaper than re-parsing and re-encoding the source),
+/// every dictionary must decode and agree with its page file's row
+/// count, and the same read counts each code: the counts must equal
+/// the dictionary's own, so pages paired with a foreign dictionary
+/// never load. Any failure is a miss (`None`); the caller re-encodes
 /// over the entry.
 pub fn load_entry(dir: &Path, arity: usize) -> Option<SpilledTable> {
     let manifest = std::fs::read_to_string(manifest_path(dir)).ok()?;
@@ -375,11 +378,23 @@ pub fn load_entry(dir: &Path, arity: usize) -> Option<SpilledTable> {
         if file.rows() as usize != rows {
             return None;
         }
-        file.verify_checksum().ok()?;
         let dict = decode_dict(&std::fs::read(dict_path(dir, i)).ok()?)?;
-        if dict.code_counts().len() != dict.cardinality() + 1
-            || dict.code_counts().iter().sum::<u64>() != rows as u64
-        {
+        let counts = dict.code_counts();
+        if counts.len() != dict.cardinality() + 1 || counts.iter().sum::<u64>() != rows as u64 {
+            return None;
+        }
+        // The pages must hold exactly this dictionary's codes: count
+        // them in the checksum pass, codes past the cardinality (which
+        // the kernels index by) in one extra slot. Both sides total
+        // `rows`, so equal in-range counts leave that slot empty.
+        let mut seen: Vec<u64> = vec![0; counts.len() + 1];
+        file.scan_verified(|codes| {
+            for &c in codes {
+                seen[(c as usize).min(counts.len())] += 1;
+            }
+        })
+        .ok()?;
+        if seen[..counts.len()] != *counts {
             return None;
         }
         columns.push(Arc::new(PagedColumn::new(Arc::new(dict), file)));
@@ -391,9 +406,9 @@ pub fn load_entry(dir: &Path, arity: usize) -> Option<SpilledTable> {
 /// extensions, whose rows never exist as in-memory `Value` columns:
 /// not-null constraints read the resident dictionaries' NULL counts,
 /// key constraints hold iff no non-NULL key projection repeats —
-/// exactly "`lhs_groups` over the key attributes is empty", which the
-/// paged kernel answers from dictionary counts (unary) or one
-/// streamed scan (composite).
+/// exactly "`lhs_groups` over the key attributes is empty", which
+/// [`kernels::lhs_groups`] answers from dictionary counts (unary) or
+/// one streamed scan (composite).
 pub fn validate_spilled(
     db: &Database,
     rel: RelId,
@@ -421,18 +436,18 @@ pub fn validate_spilled(
         if key.rel != rel {
             continue;
         }
-        let cols: Vec<&PagedColumn> = key
+        let cols: Vec<PagedSource<'_>> = key
             .attrs
             .iter()
             .map(|a| {
                 table
                     .columns()
                     .get(a.index())
-                    .map(Arc::as_ref)
+                    .map(|c| PagedSource::new(c, pool))
                     .ok_or_else(|| PageError::Io(format!("key attr {} out of range", a.0)))
             })
             .collect::<Result<_, _>>()?;
-        let groups = lhs_groups_paged(&cols, table.rows(), pool)?;
+        let groups = kernels::lhs_groups(&cols, table.rows())?;
         if !groups.is_empty() {
             return Err(crate::error::RelationalError::KeyViolation {
                 relation: relation.name.clone(),
@@ -591,12 +606,89 @@ mod tests {
         bytes[flip] ^= 0xff;
         std::fs::write(&pp, &bytes).unwrap();
         assert!(load_entry(&dir, 2).is_some(), "repair must re-validate");
+        // Dictionaries swapped between columns: each still decodes and
+        // sums to the row count, but the pages hold the other
+        // column's codes: miss.
+        let (d0, d1) = (dict_path(&dir, 0), dict_path(&dir, 1));
+        let (b0, b1) = (std::fs::read(&d0).unwrap(), std::fs::read(&d1).unwrap());
+        std::fs::write(&d0, &b1).unwrap();
+        std::fs::write(&d1, &b0).unwrap();
+        assert!(load_entry(&dir, 2).is_none(), "swapped dictionaries");
+        std::fs::write(&d0, &b0).unwrap();
+        std::fs::write(&d1, &b1).unwrap();
+        assert!(load_entry(&dir, 2).is_some());
         // Corrupt a dictionary: miss.
         let dp = dict_path(&dir, 0);
         let mut dbytes = std::fs::read(&dp).unwrap();
         dbytes[12] ^= 0x10;
         std::fs::write(&dp, &dbytes).unwrap();
         assert!(load_entry(&dir, 2).is_none());
+
+        let _ = std::fs::remove_dir_all(&base);
+    }
+
+    #[test]
+    fn swapped_dictionaries_reencode_on_import() {
+        use crate::kernels;
+
+        let base = std::env::temp_dir().join(format!("dbre-spill-swap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        std::fs::create_dir_all(&base).unwrap();
+        let csv = base.join("t.csv");
+        let mut text = String::from("a,b\n");
+        for i in 0..2500 {
+            let a = if i % 7 == 0 {
+                String::new()
+            } else {
+                (i % 300).to_string()
+            };
+            text.push_str(&format!("{a},v{}\n", i % 12));
+        }
+        std::fs::write(&csv, text).unwrap();
+        let relation = Relation::of("T", &[("a", Domain::Int), ("b", Domain::Text)]);
+        let spill = base.join("cache");
+        let import = |dir: Option<&Path>| {
+            let mut db = Database::new();
+            let rel = db.add_relation(relation.clone()).unwrap();
+            crate::csv::import_csv_spilled(&mut db, rel, &csv, dir).unwrap()
+        };
+        let pool = BufferPool::default();
+        // Answers the kernels give over a loaded table.
+        let answers = |t: &SpilledTable| {
+            let src: Vec<PagedSource<'_>> = t
+                .columns()
+                .iter()
+                .map(|c| PagedSource::new(c, &pool))
+                .collect();
+            let (a, b) = (&src[..1], &src[1..]);
+            (
+                kernels::lhs_groups(a, t.rows()).unwrap(),
+                kernels::count_distinct(&src, t.rows()).unwrap(),
+                kernels::fd_holds(b, a, t.rows()).unwrap(),
+                kernels::partition1(src[1], t.rows()).unwrap(),
+            )
+        };
+        let cold = import(None);
+        let expected = answers(&cold);
+
+        let first = import(Some(&spill));
+        assert!(!first.from_cache());
+        let entry = entry_dir(&spill, &cache_key(&relation, hash_file(&csv).unwrap()));
+        let (d0, d1) = (dict_path(&entry, 0), dict_path(&entry, 1));
+        let (b0, b1) = (std::fs::read(&d0).unwrap(), std::fs::read(&d1).unwrap());
+        std::fs::write(&d0, &b1).unwrap();
+        std::fs::write(&d1, &b0).unwrap();
+
+        let reencoded = import(Some(&spill));
+        assert!(!reencoded.from_cache(), "swapped dictionaries must miss");
+        assert_eq!(answers(&reencoded), expected);
+        for (r, c) in reencoded.columns().iter().zip(cold.columns()) {
+            assert_eq!(r.dict(), c.dict());
+        }
+        // The re-encode rewrote the entry: the next import hits it.
+        let warm = import(Some(&spill));
+        assert!(warm.from_cache());
+        assert_eq!(answers(&warm), expected);
 
         let _ = std::fs::remove_dir_all(&base);
     }

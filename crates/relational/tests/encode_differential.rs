@@ -1,9 +1,12 @@
-//! Differential proptests: the dictionary-encoded kernels of
-//! [`dbre_relational::encode`] must agree *exactly* with the Value-based
-//! reference implementations in `table.rs` / `partitions.rs` /
-//! `counting.rs` — on every generated table, including NULL-heavy and
-//! NaN-bearing columns, under both NULL conventions (SQL skip-NULL for
-//! counts / FD checks / LHS groups, NULL = NULL for partitions).
+//! Differential proptests: the counting kernels of
+//! [`dbre_relational::kernels`] must agree *exactly* with the
+//! Value-based reference implementations in `table.rs` /
+//! `partitions.rs` / `counting.rs` — on every generated table,
+//! including NULL-heavy and NaN-bearing columns, under both NULL
+//! conventions (SQL skip-NULL for counts / FD checks / LHS groups,
+//! NULL = NULL for partitions), and over both code sources: the
+//! in-RAM `ColumnDict`s and spilled copies of the same columns read
+//! through a one-page buffer pool.
 //!
 //! The same file gates the default and `parallel` builds (CI runs both
 //! feature sets), so the encoded path is pinned to the reference
@@ -13,14 +16,18 @@
 // failure is test behaviour.
 #![allow(clippy::expect_used)]
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 use dbre_relational::attr::AttrId;
-use dbre_relational::backend::{EncodedBackend, ReferenceBackend};
+use dbre_relational::backend::{CountBackend, EncodedBackend, ReferenceBackend};
+use dbre_relational::bufpool::BufferPool;
 use dbre_relational::counting::{join_stats, EquiJoin};
 use dbre_relational::database::Database;
 use dbre_relational::deps::IndSide;
-use dbre_relational::encode::{join_stats_encoded, DictTable};
+use dbre_relational::encode::{decode_set_cols, ColumnDict};
+use dbre_relational::kernels;
+use dbre_relational::pages::{PageFile, PagedColumn, PagedSource, PAGE_CODES};
 use dbre_relational::partitions::StrippedPartition;
 use dbre_relational::schema::Relation;
 use dbre_relational::stats::StatsEngine;
@@ -151,37 +158,93 @@ fn naive_lhs_groups(t: &Table, attrs: &[AttrId]) -> Vec<Vec<usize>> {
     groups
 }
 
+// ---- the two code sources ------------------------------------------
+
+/// One table's columns as in-RAM dictionaries and as spilled copies
+/// (`PageFile::spill` + `PagedColumn::new`) read through a one-page
+/// pool.
+struct Sources {
+    dicts: Vec<ColumnDict>,
+    paged: Vec<PagedColumn>,
+    pool: BufferPool,
+}
+
+impl Sources {
+    fn new(t: &Table) -> Self {
+        let dicts: Vec<ColumnDict> = (0..t.arity())
+            .map(|i| ColumnDict::build(t.column(AttrId(i as u16))))
+            .collect();
+        let paged = dicts
+            .iter()
+            .map(|d| {
+                let file = PageFile::spill(d.codes()).expect("spill file writes");
+                PagedColumn::new(Arc::new(d.slim()), file)
+            })
+            .collect();
+        Sources {
+            dicts,
+            paged,
+            pool: BufferPool::with_capacity_pages(1),
+        }
+    }
+
+    fn ram(&self, attrs: &[AttrId]) -> Vec<&ColumnDict> {
+        attrs.iter().map(|a| &self.dicts[a.index()]).collect()
+    }
+
+    fn paged(&self, attrs: &[AttrId]) -> Vec<PagedSource<'_>> {
+        attrs
+            .iter()
+            .map(|a| PagedSource::new(&self.paged[a.index()], &self.pool))
+            .collect()
+    }
+}
+
 // ---- properties -----------------------------------------------------
 
 proptest! {
-    /// `‖π_attrs‖`: encoded count = reference count (SQL skip-NULL).
+    /// `‖π_attrs‖`: kernel count = reference count (SQL skip-NULL).
     #[test]
     fn counts_agree(case in table_and_attrs()) {
         let (t, attrs) = case;
-        let d = DictTable::build(&t);
-        prop_assert_eq!(d.count_distinct(&attrs), t.count_distinct(&attrs));
+        let s = Sources::new(&t);
+        let expected = t.count_distinct(&attrs);
+        let Ok(ram) = kernels::count_distinct(&s.ram(&attrs), t.len());
+        prop_assert_eq!(ram, expected);
+        let paged = kernels::count_distinct(&s.paged(&attrs), t.len()).expect("pages read");
+        prop_assert_eq!(paged, expected);
     }
 
-    /// Decoding the encoded distinct set recovers the reference
+    /// Decoding the distinct code set recovers the reference
     /// projection exactly (same tuples, not just the same count).
     #[test]
     fn distinct_sets_agree(case in table_and_attrs()) {
         let (t, attrs) = case;
-        let d = DictTable::build(&t);
-        let encoded: HashSet<_> = d.decode_set(&attrs, &d.distinct_codes(&attrs));
-        prop_assert_eq!(encoded, t.distinct_projection(&attrs));
+        let s = Sources::new(&t);
+        let expected = t.distinct_projection(&attrs);
+        let ram_cols = s.ram(&attrs);
+        let Ok(ram) = kernels::distinct_codes(&ram_cols, t.len());
+        prop_assert_eq!(decode_set_cols(&ram_cols, &ram), expected.clone());
+        let paged_cols = s.paged(&attrs);
+        let paged = kernels::distinct_codes(&paged_cols, t.len()).expect("pages read");
+        // The spilled side decodes through its slim dictionaries.
+        let slim: Vec<&ColumnDict> = attrs.iter().map(|a| s.paged[a.index()].dict().as_ref()).collect();
+        prop_assert_eq!(decode_set_cols(&slim, &paged), expected);
     }
 
-    /// Stripped partitions (NULL = NULL convention) are byte-identical
-    /// to the Value-based constructors, unary and multi-attribute.
+    /// The unary stripped partition (NULL = NULL convention) is
+    /// byte-identical to the Value-based constructor.
     #[test]
     fn partitions_agree(case in table_and_attrs()) {
         let (t, attrs) = case;
-        let d = DictTable::build(&t);
         if let [a] = attrs.as_slice() {
-            prop_assert_eq!(d.partition1(*a), StrippedPartition::for_attribute(&t, *a));
+            let s = Sources::new(&t);
+            let expected = StrippedPartition::for_attribute(&t, *a);
+            let Ok(ram) = kernels::partition1(s.ram(&attrs)[0], t.len());
+            prop_assert_eq!(ram, expected.clone());
+            let paged = kernels::partition1(s.paged(&attrs)[0], t.len()).expect("pages read");
+            prop_assert_eq!(paged, expected);
         }
-        prop_assert_eq!(d.partition(&attrs), StrippedPartition::for_attrs(&t, &attrs));
     }
 
     /// FD checks (SQL convention) match an independent naive oracle.
@@ -195,8 +258,12 @@ proptest! {
             .into_iter()
             .map(|i| AttrId(i % t.arity() as u16))
             .collect();
-        let d = DictTable::build(&t);
-        prop_assert_eq!(d.fd_holds(&lhs, &rhs), naive_fd_holds(&t, &lhs, &rhs));
+        let s = Sources::new(&t);
+        let expected = naive_fd_holds(&t, &lhs, &rhs);
+        let Ok(ram) = kernels::fd_holds(&s.ram(&lhs), &s.ram(&rhs), t.len());
+        prop_assert_eq!(ram, expected);
+        let paged = kernels::fd_holds(&s.paged(&lhs), &s.paged(&rhs), t.len()).expect("pages read");
+        prop_assert_eq!(paged, expected);
     }
 
     /// LHS groups (SQL convention) match the naive oracle exactly,
@@ -204,18 +271,20 @@ proptest! {
     #[test]
     fn lhs_groups_agree(case in table_and_attrs()) {
         let (t, attrs) = case;
-        let d = DictTable::build(&t);
-        prop_assert_eq!(d.lhs_groups(&attrs), naive_lhs_groups(&t, &attrs));
+        let s = Sources::new(&t);
+        let expected = naive_lhs_groups(&t, &attrs);
+        let Ok(ram) = kernels::lhs_groups(&s.ram(&attrs), t.len());
+        prop_assert_eq!(ram, expected.clone());
+        let paged = kernels::lhs_groups(&s.paged(&attrs), t.len()).expect("pages read");
+        prop_assert_eq!(paged, expected);
     }
 
-    /// Cross-table join stats: code translation gives the same three
-    /// cardinalities as the Value-based set intersection.
+    /// Cross-table join stats: the encoded backend's code translation
+    /// gives the same three cardinalities as the Value-based set
+    /// intersection.
     #[test]
     fn join_stats_agree(case in join_case()) {
         let (lt, lattrs, rt, rattrs) = case;
-        let (ld, rd) = (DictTable::build(&lt), DictTable::build(&rt));
-        let encoded = join_stats_encoded(&ld, &lattrs, &rd, &rattrs);
-
         let mut db = Database::new();
         let mk = |n: usize| -> Vec<(String, Domain)> {
             (0..n).map(|i| (format!("c{i}"), Domain::Int)).collect()
@@ -236,7 +305,7 @@ proptest! {
             .expect("arity matches");
         let join = EquiJoin::try_new(IndSide::new(l, lattrs), IndSide::new(r, rattrs))
             .expect("equal arity by construction");
-        prop_assert_eq!(encoded, join_stats(&db, &join));
+        prop_assert_eq!(EncodedBackend::new().join_stats(&db, &join), join_stats(&db, &join));
     }
 
     /// The memoizing engine agrees with the references through its
@@ -292,5 +361,65 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// An in-RAM column of two full pages plus a tail now streams in three
+/// page slices (and chunks under `parallel`): the encoded backend must
+/// still match the reference at arities 1, 2 and 3, with NULLs on
+/// both sides of the first page boundary.
+#[test]
+fn multi_page_in_ram_columns_match_reference() {
+    let rows = 2 * PAGE_CODES + 777;
+    let cell = |i: usize, modulus: usize| {
+        if i == PAGE_CODES - 1 || i == PAGE_CODES || i % 97 == 5 {
+            Value::Null
+        } else {
+            Value::Int((i % modulus) as i64)
+        }
+    };
+    let t = Table::from_rows(
+        3,
+        (0..rows).map(|i| vec![cell(i, 1009), cell(i, 31), cell(i, 7)]),
+    )
+    .expect("rows match arity");
+    let (db, rel) = db_of(&t);
+    let (encoded, reference) = (EncodedBackend::new(), ReferenceBackend);
+    for attrs in [
+        vec![AttrId(0)],
+        vec![AttrId(0), AttrId(1)],
+        vec![AttrId(0), AttrId(1), AttrId(2)],
+    ] {
+        assert_eq!(
+            encoded.count_distinct(&db, rel, &attrs),
+            reference.count_distinct(&db, rel, &attrs),
+            "{attrs:?}"
+        );
+        assert_eq!(
+            encoded.projection(&db, rel, &attrs),
+            reference.projection(&db, rel, &attrs),
+            "{attrs:?}"
+        );
+        assert_eq!(
+            encoded.lhs_groups(&db, rel, &attrs),
+            reference.lhs_groups(&db, rel, &attrs),
+            "{attrs:?}"
+        );
+        let fd = dbre_relational::deps::Fd {
+            rel,
+            lhs: attrs.iter().copied().collect(),
+            rhs: [AttrId(2)].into_iter().collect(),
+        };
+        assert_eq!(
+            encoded.fd_holds(&db, &fd),
+            reference.fd_holds(&db, &fd),
+            "{attrs:?}"
+        );
+    }
+    for a in 0..3 {
+        assert_eq!(
+            encoded.partition1(&db, rel, AttrId(a)),
+            reference.partition1(&db, rel, AttrId(a))
+        );
     }
 }
