@@ -671,8 +671,8 @@ fn x8() {
 /// function; every gate runs, and the process exits nonzero after the
 /// last one if any failed. Among them: the sql backend's end-to-end
 /// pipeline median may not exceed 2x the encoded backend's (8
-/// entities, 1k rows) — the CI guard that the batch executor keeps
-/// carrying the SQL path — and `pipeline_scale` fails when a stage's
+/// entities, 1k rows) — the CI guard that the generated probes keep
+/// lowering onto the kernels — and `pipeline_scale` fails when a stage's
 /// time grows more than 20x for 10x the rows.
 fn xb(check: bool) {
     use dbre_mine::{check_hash, StrippedPartition};
@@ -795,9 +795,9 @@ fn xb(check: bool) {
 
     // Per-backend end-to-end pipeline rows: the same run_with_q served
     // by each CountBackend through the one counting seam (small
-    // extension — the SQL backend executes every ‖·‖ probe as a real
-    // statement, lowered by the batch executor onto the encoded
-    // kernels, with the tuple interpreter as its fallback; the paged
+    // extension — the SQL backend parses every ‖·‖ probe as a real
+    // statement and lowers the recognised shapes onto the encoded
+    // kernels, with the tuple interpreter for anything else; the paged
     // backend streams spilled code pages through its buffer pool).
     let mut backend_rows: Vec<(&'static str, f64)> = Vec::new();
     let mut paged_cache = dbre_relational::PageCacheStats::default();

@@ -1,6 +1,7 @@
 //! End-to-end pins of the restructured output at
 //! `scenario(8, 2000, 42)`: the decision log (every g3 error included)
-//! and every restructured extension, row by row, on all four backends.
+//! and every restructured extension, row by row, on all four backends,
+//! with every generated SQL probe served by the counting kernels.
 //! The digests were recorded from the `Value`-level Restruct and g3
 //! implementations that the coded kernels replaced; any change to a
 //! split table, a hidden-object table or a printed error moves them.
@@ -75,6 +76,14 @@ fn restructured_extensions_and_log_are_pinned_on_every_backend() {
             "decision log moved on {}",
             choice.name()
         );
+        if choice == BackendChoice::Sql {
+            // Every generated probe is recognised and runs on the
+            // kernels: none fails, none needs the tuple interpreter.
+            let x = r.stats.backend_exec;
+            assert_eq!(x.fallback_failures, 0, "sql probes failed");
+            assert_eq!(x.tuple_fallback_ops, 0, "sql probes ran on the interpreter");
+            assert!(x.batch_ops > 0, "no sql probe ran");
+        }
     }
 }
 

@@ -98,8 +98,9 @@ pub struct PipelineStats {
     /// Name of the counting backend that served the run
     /// ([`BackendChoice::name`]).
     pub backend: &'static str,
-    /// Execution-strategy counters from the backend: batch-executor
-    /// operator batches vs tuple-interpreter fallbacks, and — crucially
+    /// Execution-strategy counters from the backend: statements lowered
+    /// onto the counting kernels vs whole statements run by the tuple
+    /// interpreter, and — crucially
     /// — how many probes failed outright and were silently served by
     /// the reference fallback. Nonzero failures surface as a CLI
     /// warning; all-zero for single-strategy backends.

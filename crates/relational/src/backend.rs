@@ -128,17 +128,18 @@ type ProjectionCache<T> = RwLock<HashMap<(RelId, Vec<AttrId>), Tagged<T>>>;
 /// generated statements that failed to execute and were silently
 /// served by the reference semantics (a healthy backend keeps this at
 /// zero — the pipeline surfaces it as a warning), while `batch_ops` /
-/// `tuple_fallback_ops` record how many executor operators ran on the
-/// columnar batch path versus the tuple-at-a-time interpreter.
+/// `tuple_fallback_ops` record how many statements were recognised as
+/// `‖·‖` probes and run on the counting kernels versus run whole by
+/// the tuple-at-a-time interpreter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BackendExecStats {
     /// Probes whose native execution failed and were served by a
     /// reference fallback instead. Zero on a healthy backend.
     pub fallback_failures: u64,
-    /// Executor operators served by the columnar batch path.
+    /// Statements recognised as `‖·‖` probes and lowered onto the
+    /// counting kernels.
     pub batch_ops: u64,
-    /// Executor operators served by the tuple-at-a-time fallback
-    /// interpreter.
+    /// Whole statements run by the tuple-at-a-time interpreter.
     pub tuple_fallback_ops: u64,
 }
 
@@ -240,10 +241,10 @@ pub trait CountBackend: Send + Sync {
     }
 
     /// The backend's dictionary encoding of one column, when it
-    /// maintains one — the dict-access seam the batch SQL executor
-    /// scans through, so it pulls codes from the same
-    /// generation-tagged cache as every counting probe instead of
-    /// re-interning columns. Backends without an encoding return
+    /// maintains one — the dict-access seam the coded g3 and Restruct
+    /// kernels read through ([`column_dicts`]), so they pull codes from
+    /// the same generation-tagged cache as every counting probe instead
+    /// of re-interning columns. Backends without an encoding return
     /// `None` and consumers build their own dictionary.
     fn column_dict(&self, db: &Database, rel: RelId, attr: AttrId) -> Option<Arc<ColumnDict>> {
         let _ = (db, rel, attr);

@@ -367,8 +367,8 @@ impl ColumnDict {
 
     /// Rebuilds a full dictionary from this (slim) one plus a per-row
     /// code vector — the paged store's rehydration path for consumers
-    /// that need random access to codes (the batch SQL executor's
-    /// `column_dict()` seam).
+    /// that need random access to codes (the coded g3 and Restruct
+    /// kernels, through the `column_dict()` seam).
     pub fn rehydrate(&self, codes: Vec<u32>) -> ColumnDict {
         ColumnDict {
             codes,
@@ -787,9 +787,8 @@ impl DictTable {
 /// ([`NULL_CODE`] when the left value does not occur on the right —
 /// callers must treat a zero result as "no match", never as NULL
 /// equality). Codes are column-local, so cross-table probes — the
-/// intersection kernel here, and the batch SQL executor's hash-join
-/// probes in `dbre-sql` — go through this table instead of re-hashing
-/// `Value`s per tuple.
+/// intersection kernel here — go through this table instead of
+/// re-hashing `Value`s per tuple.
 pub fn code_translation(left: &ColumnDict, right: &ColumnDict) -> Vec<u32> {
     let mut t = vec![NULL_CODE; left.cardinality() + 1];
     for (i, v) in left.distinct_values().iter().enumerate() {

@@ -331,15 +331,13 @@ fn decode_dict(bytes: &[u8]) -> Option<ColumnDict> {
     })
 }
 
-/// Writes one column's dictionary file. With the sketch prefilter
-/// enabled ([`crate::sketch::SketchMode::from_env`]), the column's
-/// sketch is built here — O(cardinality), riding the ingest pass —
-/// and its hashes persist with the dictionary, so warm loads never
-/// rehash.
+/// Writes one column's dictionary file. The column's sketch is built
+/// here — O(cardinality), riding the ingest pass — and its hashes
+/// persist with the dictionary, so warm loads never rehash. It is
+/// built whether or not the sketch prefilter is on: a run with it off
+/// never consults the sketch, and the cache entry serves either mode.
 pub(crate) fn write_dict(dir: &Path, col: usize, dict: &ColumnDict) -> Result<(), PageError> {
-    if crate::sketch::SketchMode::from_env().is_on() {
-        let _ = dict.sketch();
-    }
+    let _ = dict.sketch();
     std::fs::write(dict_path(dir, col), encode_dict(dict)).map_err(|e| PageError::Io(e.to_string()))
 }
 

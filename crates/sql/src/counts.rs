@@ -4,13 +4,21 @@
 //! §2 of the paper defines `‖r[X]‖` as
 //! `SELECT COUNT (DISTINCT X) FROM R` — "this function can be computed
 //! in any SQL-like language". The pipeline normally uses the columnar
-//! backends of `dbre-relational` for speed; this module generates and
-//! executes the *actual SQL* through this crate's executor, so the
+//! backends of `dbre-relational` for speed; this module generates the
+//! *actual SQL* and runs it through this crate's parser, so the
 //! interchangeability claim is a tested property rather than a remark
-//! (the three-way backend differential suite pins it).
+//! (the four-way backend differential suite pins it).
+//!
+//! Every generated statement is parsed and its names resolved against
+//! the schema. The two shapes generation produces — a `COUNT(DISTINCT
+//! …)` over one table, and the same count over a two-table equi-join on
+//! the counted columns — are recognised as the `‖·‖` primitives they
+//! are and run on the dictionary-code kernels of an owned
+//! [`EncodedBackend`]. Any other statement runs whole on the tuple
+//! interpreter ([`execute_query`]). There is no third path.
 //!
 //! [`SqlBackend`] implements
-//! [`CountBackend`](dbre_relational::backend::CountBackend) — it lives
+//! [`CountBackend`] — it lives
 //! here rather than in `dbre-relational` to respect the dependency
 //! direction (the relational substrate knows nothing about SQL). The
 //! cardinality probes (`count_distinct`, `join_stats`, and through
@@ -30,24 +38,27 @@ use dbre_relational::schema::RelId;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::batch::{execute_query_batch, BatchReport};
-use crate::executor::{execute_query, ResultSet};
+use crate::ast::{ColumnRef, Expr, Query, SelectItem};
+use crate::executor::execute_query;
+use crate::token::Keyword;
 use crate::{run_sql, SqlResult};
 
 /// Renders an identifier for the generated SQL. Hyphenated legacy
 /// names (`project-name`) must be double-quoted: left bare in an
 /// expression they read as subtraction (`project - name`), silently
 /// changing the counted value wherever both operands happen to resolve.
-/// Anything not lexable as a plain identifier is double-quoted too,
-/// with embedded double quotes escaped by doubling (SQL-92) so a name
-/// containing `"` round-trips through the lexer instead of producing
-/// an unparseable statement.
+/// Names that lex as keywords (`Order`, `count`, `date`) are quoted
+/// too, or the statement would not parse. Anything not lexable as a
+/// plain identifier is double-quoted, with embedded double quotes
+/// escaped by doubling (SQL-92) so a name containing `"` round-trips
+/// through the lexer instead of producing an unparseable statement.
 pub fn ident(name: &str) -> String {
     let plain = name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
         && name
             .chars()
             .next()
-            .is_some_and(|c| c.is_ascii_alphabetic() || c == '_');
+            .is_some_and(|c| c.is_ascii_alphabetic() || c == '_')
+        && Keyword::from_word(name).is_none();
     if plain {
         name.to_string()
     } else {
@@ -107,17 +118,125 @@ pub fn join_stats_via_sql(db: &Database, join: &EquiJoin) -> SqlResult<JoinStats
     })
 }
 
+/// A generated statement recognised as one of the paper's `‖·‖`
+/// primitives.
+#[derive(Debug, PartialEq)]
+enum Probe {
+    /// `SELECT COUNT(DISTINCT x.a…) FROM r x` — `‖r[A]‖`.
+    Distinct(RelId, Vec<AttrId>),
+    /// `SELECT COUNT(DISTINCT x.a…) FROM r x, s y WHERE x.a… = y.b…`,
+    /// counting exactly one side's join columns in order —
+    /// `‖r[A] ⋈ s[B]‖`, with the counted side on the left.
+    Join(EquiJoin),
+}
+
+/// Resolves a column against the FROM bindings by the tuple
+/// interpreter's rules: `(binding index, attribute)`, or `None` when
+/// the name is unknown or ambiguous.
+fn resolve(db: &Database, tables: &[(&str, RelId)], c: &ColumnRef) -> Option<(usize, AttrId)> {
+    let mut found = None;
+    for (i, &(name, rel)) in tables.iter().enumerate() {
+        if c.qualifier.as_deref().is_some_and(|q| q != name) {
+            continue;
+        }
+        match db.schema.relation(rel).attr_id(&c.name) {
+            Some(_) if found.is_some() => return None,
+            Some(attr) => found = Some((i, attr)),
+            None if c.qualifier.is_some() => return None,
+            None => {}
+        }
+    }
+    found
+}
+
+/// Recognises the two statement shapes [`count_side_sql`] and
+/// [`count_join_sql`] generate, with every name resolved against the
+/// schema. Anything else — another shape, a filter, an unknown or
+/// ambiguous name — is `None`, and the caller runs the whole statement
+/// on the tuple interpreter, which also words any error.
+fn recognize(db: &Database, query: &Query) -> Option<Probe> {
+    let s = &query.body;
+    if query.compound.is_some()
+        || s.distinct
+        || !s.group_by.is_empty()
+        || s.having.is_some()
+        || !s.order_by.is_empty()
+    {
+        return None;
+    }
+    let [SelectItem::Expr {
+        expr: Expr::CountDistinct(counted),
+        ..
+    }] = s.items.as_slice()
+    else {
+        return None;
+    };
+    let mut tables: Vec<(&str, RelId)> = Vec::with_capacity(s.from.len());
+    for t in &s.from {
+        let name = t.binding();
+        if tables.iter().any(|&(n, _)| n == name) {
+            return None;
+        }
+        tables.push((name, db.rel(&t.table).ok()?));
+    }
+    let counted = counted
+        .iter()
+        .map(|c| resolve(db, &tables, c))
+        .collect::<Option<Vec<_>>>()?;
+    let side = counted.first()?.0;
+    if counted.iter().any(|&(t, _)| t != side) {
+        return None;
+    }
+    let attrs: Vec<AttrId> = counted.into_iter().map(|(_, a)| a).collect();
+    let mut conds = s
+        .join_conds
+        .iter()
+        .chain(&s.where_clause)
+        .flat_map(Expr::conjuncts);
+    match tables.as_slice() {
+        [(_, rel)] => conds
+            .next()
+            .is_none()
+            .then_some(Probe::Distinct(*rel, attrs)),
+        [_, _] => {
+            // Every conjunct pairs a column of one table with a column
+            // of the other; `cols[t]` lists table `t`'s side in order.
+            let mut cols: [Vec<AttrId>; 2] = Default::default();
+            for c in conds {
+                let (l, r) = c.as_column_equality()?;
+                let (tl, al) = resolve(db, &tables, l)?;
+                let (tr, ar) = resolve(db, &tables, r)?;
+                if tl == tr {
+                    return None;
+                }
+                cols[tl].push(al);
+                cols[tr].push(ar);
+            }
+            if cols[side] != attrs {
+                return None;
+            }
+            let other = std::mem::take(&mut cols[1 - side]);
+            EquiJoin::try_new(
+                IndSide::new(tables[side].1, attrs),
+                IndSide::new(tables[1 - side].1, other),
+            )
+            .ok()
+            .map(Probe::Join)
+        }
+        _ => None,
+    }
+}
+
 /// The generated-SQL counting backend: every `‖·‖` probe is a real
-/// `SELECT COUNT(DISTINCT …)` through this crate's executor, the way a
-/// DBRE tool would interrogate a live legacy DBMS.
+/// `SELECT COUNT(DISTINCT …)` statement, the way a DBRE tool would
+/// interrogate a live legacy DBMS.
 ///
-/// Statements execute on the batch path
-/// ([`crate::batch::execute_query_batch`]) backed by an owned
-/// [`EncodedBackend`] — the probe shapes lower straight onto the
-/// dictionary-code kernels, so the dictionaries built for one probe
-/// serve every later probe touching the same columns. Queries the
-/// batch model cannot express run through the tuple interpreter;
-/// [`SqlBackend::exec_stats`] reports how often each path served.
+/// Each statement is parsed and recognised: the two generated shapes
+/// run on the dictionary-code kernels of an owned [`EncodedBackend`],
+/// so the dictionaries built for one probe serve every later probe
+/// touching the same columns; any other statement runs whole on the
+/// tuple interpreter. [`SqlBackend::exec_stats`] reports how often
+/// each path served.
 ///
 /// The backend trait is infallible by design (counting cannot fail on
 /// a well-formed schema); if a generated statement nevertheless fails
@@ -128,10 +247,10 @@ pub fn join_stats_via_sql(db: &Database, join: &EquiJoin) -> SqlResult<JoinStats
 #[derive(Default)]
 pub struct SqlBackend {
     reference: ReferenceBackend,
-    /// Dictionary caches + counting kernels behind the batch executor.
+    /// Dictionary caches + counting kernels behind recognised probes.
     encoded: EncodedBackend,
     failures: AtomicU64,
-    batch_ops: AtomicU64,
+    kernel_ops: AtomicU64,
     tuple_ops: AtomicU64,
 }
 
@@ -148,7 +267,7 @@ impl std::fmt::Debug for SqlBackend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SqlBackend")
             .field("failures", &self.failures)
-            .field("batch_ops", &self.batch_ops)
+            .field("kernel_ops", &self.kernel_ops)
             .field("tuple_ops", &self.tuple_ops)
             .finish_non_exhaustive()
     }
@@ -166,32 +285,27 @@ impl SqlBackend {
         self.failures.load(Ordering::Relaxed)
     }
 
-    /// Executes one generated statement: batch path first, whole-query
-    /// tuple interpretation when the shape (or an execution error)
-    /// falls outside the batch model. Each path's use is counted.
-    fn run_probe(&self, db: &Database, sql: &str) -> SqlResult<ResultSet> {
+    /// Parses one generated count statement and runs it: on the
+    /// kernels when [`recognize`] knows its shape, otherwise whole on
+    /// the tuple interpreter. Each path's use is counted.
+    fn run_probe(&self, db: &Database, sql: &str) -> SqlResult<usize> {
         let query = crate::parser::parse_query(sql)?;
-        let mut report = BatchReport::default();
-        let batch = execute_query_batch(db, &self.encoded, &query, &mut report);
-        self.batch_ops
-            .fetch_add(report.batch_ops, Ordering::Relaxed);
-        self.tuple_ops
-            .fetch_add(report.fallback_ops, Ordering::Relaxed);
-        if let Ok(Some(rs)) = batch {
-            return Ok(rs);
-        }
-        self.tuple_ops.fetch_add(1, Ordering::Relaxed);
-        execute_query(db, &query)
+        let Some(probe) = recognize(db, &query) else {
+            self.tuple_ops.fetch_add(1, Ordering::Relaxed);
+            return execute_query(db, &query)?.count();
+        };
+        self.kernel_ops.fetch_add(1, Ordering::Relaxed);
+        Ok(match probe {
+            Probe::Distinct(rel, attrs) => self.encoded.count_distinct(db, rel, &attrs),
+            Probe::Join(join) => self.encoded.join_stats(db, &join).n_join,
+        })
     }
 
     /// `‖rel[attrs]‖` via SQL, falling back to the reference scan (and
     /// counting the failure) if the statement does not execute.
     fn count_side(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> usize {
         let side = IndSide::new(rel, attrs.to_vec());
-        match self
-            .run_probe(db, &count_side_sql(db, &side))
-            .and_then(|rs| rs.count())
-        {
+        match self.run_probe(db, &count_side_sql(db, &side)) {
             Ok(n) => n,
             Err(_) => {
                 self.failures.fetch_add(1, Ordering::Relaxed);
@@ -200,20 +314,12 @@ impl SqlBackend {
         }
     }
 
-    /// The three IND-Discovery cardinalities via generated SQL on the
-    /// batch path.
+    /// The three IND-Discovery cardinalities via generated SQL.
     fn join_stats_probe(&self, db: &Database, join: &EquiJoin) -> SqlResult<JoinStats> {
-        let n_left = self
-            .run_probe(db, &count_side_sql(db, &join.left))?
-            .count()?;
-        let n_right = self
-            .run_probe(db, &count_side_sql(db, &join.right))?
-            .count()?;
-        let n_join = self.run_probe(db, &count_join_sql(db, join))?.count()?;
         Ok(JoinStats {
-            n_left,
-            n_right,
-            n_join,
+            n_left: self.run_probe(db, &count_side_sql(db, &join.left))?,
+            n_right: self.run_probe(db, &count_side_sql(db, &join.right))?,
+            n_join: self.run_probe(db, &count_join_sql(db, join))?,
         })
     }
 }
@@ -259,7 +365,7 @@ impl CountBackend for SqlBackend {
     fn exec_stats(&self) -> BackendExecStats {
         BackendExecStats {
             fallback_failures: self.failures.load(Ordering::Relaxed),
-            batch_ops: self.batch_ops.load(Ordering::Relaxed),
+            batch_ops: self.kernel_ops.load(Ordering::Relaxed),
             tuple_fallback_ops: self.tuple_ops.load(Ordering::Relaxed),
         }
     }
@@ -268,6 +374,7 @@ impl CountBackend for SqlBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parser::parse_query;
 
     #[test]
     fn odd_names_get_quoted() {
@@ -324,5 +431,130 @@ mod tests {
         let (_, both) = db.resolve("Addr", &["zip-code", "street name"]).unwrap();
         assert_eq!(backend.count_distinct(&db, rel, &both), 3);
         assert_eq!(backend.failures(), 0, "quoted identifiers executed");
+
+        // Names that lex as keywords: bare `FROM Order x` or
+        // `x.count` would not parse at all.
+        let mut cat = Catalog::new();
+        cat.load_script(
+            "CREATE TABLE \"Order\" (\"count\" INT, \"group\" INT, date INT);
+             CREATE TABLE Item (\"order\" INT);
+             INSERT INTO \"Order\" VALUES (1, 1, 7), (2, 1, 7), (2, NULL, 8);
+             INSERT INTO Item VALUES (2), (2), (3), (NULL);",
+        )
+        .unwrap();
+        let db = cat.into_database();
+        let (order, order_ids) = db.resolve("Order", &["count", "group", "date"]).unwrap();
+        let (item, item_ids) = db.resolve("Item", &["order"]).unwrap();
+        assert_eq!(
+            count_side_sql(&db, &IndSide::new(order, vec![order_ids[0]])),
+            "SELECT COUNT(DISTINCT x.\"count\") FROM \"Order\" x"
+        );
+        let backend = SqlBackend::new();
+        for (attr, n) in order_ids.iter().zip([2, 1, 2]) {
+            assert_eq!(backend.count_distinct(&db, order, &[*attr]), n);
+        }
+        let join = EquiJoin::try_new(
+            IndSide::new(item, item_ids),
+            IndSide::new(order, vec![order_ids[0]]),
+        )
+        .unwrap();
+        let stats = backend.join_stats(&db, &join);
+        assert_eq!(stats, ReferenceBackend.join_stats(&db, &join));
+        assert_eq!(stats.n_join, 1); // only 2 is both an order and an item
+        assert_eq!(backend.failures(), 0, "keyword identifiers executed");
+        assert_eq!(backend.exec_stats().tuple_fallback_ops, 0);
+    }
+
+    /// Fixture for the recognizer tests: NULLs on both sides of the
+    /// joinable columns, duplicate rows, a text column.
+    fn db() -> Database {
+        let mut cat = crate::Catalog::new();
+        cat.load_script(
+            "CREATE TABLE A (x INT, y INT, s CHAR(8));
+             CREATE TABLE B (u INT, v INT);
+             INSERT INTO A VALUES (1, 1, 'a'), (1, 2, 'b'), (2, 1, 'a'),
+                                  (1, 1, 'c'), (NULL, 3, 'a'), (4, NULL, NULL);
+             INSERT INTO B VALUES (1, 1), (2, 1), (3, 3), (NULL, 1), (1, 9);",
+        )
+        .unwrap();
+        cat.into_database()
+    }
+
+    #[test]
+    fn tier_one_lowers_counts_without_enumeration() {
+        let db = db();
+        let a = db.rel("A").unwrap();
+        let b = db.rel("B").unwrap();
+        let (x, y, u, v) = (AttrId(0), AttrId(1), AttrId(0), AttrId(1));
+        let join = |l: IndSide, r: IndSide| Probe::Join(EquiJoin::try_new(l, r).unwrap());
+        for (sql, probe) in [
+            // ‖A[x]‖ and ‖A[x,y]‖.
+            (
+                "SELECT COUNT(DISTINCT x.x) FROM A x",
+                Probe::Distinct(a, vec![x]),
+            ),
+            (
+                "SELECT COUNT(DISTINCT x.x, x.y) FROM A x",
+                Probe::Distinct(a, vec![x, y]),
+            ),
+            // The join count, counted side first.
+            (
+                "SELECT COUNT(DISTINCT x.x) FROM A x, B y WHERE x.x = y.u",
+                join(IndSide::new(a, vec![x]), IndSide::new(b, vec![u])),
+            ),
+            (
+                "SELECT COUNT(DISTINCT y.u) FROM A x, B y WHERE x.x = y.u",
+                join(IndSide::new(b, vec![u]), IndSide::new(a, vec![x])),
+            ),
+            // Composite join pair, counted columns = join columns.
+            (
+                "SELECT COUNT(DISTINCT x.x, x.y) FROM A x, B y WHERE x.x = y.u AND y.v = x.y",
+                join(IndSide::new(a, vec![x, y]), IndSide::new(b, vec![u, v])),
+            ),
+            // Bare names resolve like qualified ones.
+            (
+                "SELECT COUNT(DISTINCT x) FROM A x, B y WHERE x = u",
+                join(IndSide::new(a, vec![x]), IndSide::new(b, vec![u])),
+            ),
+        ] {
+            let q = parse_query(sql).unwrap();
+            assert_eq!(recognize(&db, &q), Some(probe), "{sql}");
+            // Served by the kernels, with the tuple interpreter's answer.
+            let backend = SqlBackend::new();
+            let want = run_sql(&db, sql).unwrap().count().unwrap();
+            assert_eq!(backend.run_probe(&db, sql).unwrap(), want, "{sql}");
+            let stats = backend.exec_stats();
+            assert_eq!((stats.batch_ops, stats.tuple_fallback_ops), (1, 0), "{sql}");
+        }
+    }
+
+    #[test]
+    fn out_of_model_shapes_are_rejected_not_wrong() {
+        let db = db();
+        for sql in [
+            "SELECT * FROM A x",                                             // wildcard
+            "SELECT MIN(x.x) FROM A x",                                      // non-count agg
+            "SELECT x.x FROM A x ORDER BY x.x",                              // ordering
+            "SELECT x.x, COUNT(*) FROM A x GROUP BY x.x",                    // grouping
+            "SELECT COUNT(*) FROM A x",                                      // not generated
+            "SELECT COUNT(DISTINCT x.x) FROM A x, B y",                      // cross product
+            "SELECT COUNT(DISTINCT x.y) FROM A x, B y WHERE x.x = y.u",      // counted ≠ join
+            "SELECT COUNT(DISTINCT x.x) FROM A x, B y WHERE x.x = x.y",      // same-table eq
+            "SELECT COUNT(DISTINCT x.x) FROM A x WHERE x.y = 1",             // filter
+            "SELECT COUNT(DISTINCT x.x) FROM A x UNION SELECT y.u FROM B y", // compound
+            "SELECT COUNT(DISTINCT x.x) FROM A x, A x WHERE x.x = x.y",      // duplicate binding
+            "SELECT COUNT(DISTINCT y) FROM A x, A z WHERE y = y",            // ambiguous
+            "SELECT COUNT(DISTINCT ghost.z) FROM A x",                       // unresolvable
+            "SELECT COUNT(DISTINCT x.x) FROM Nope x",                        // unknown table
+        ] {
+            let q = parse_query(sql).unwrap();
+            assert_eq!(recognize(&db, &q), None, "{sql}");
+            // The tuple interpreter answers, errors included.
+            let backend = SqlBackend::new();
+            let want = run_sql(&db, sql).and_then(|rs| rs.count());
+            assert_eq!(backend.run_probe(&db, sql), want, "{sql}");
+            let stats = backend.exec_stats();
+            assert_eq!((stats.batch_ops, stats.tuple_fallback_ops), (0, 1), "{sql}");
+        }
     }
 }

@@ -8,6 +8,11 @@
 //! pipeline's counting primitives match real SQL `COUNT(DISTINCT …)`
 //! semantics.
 //!
+//! [`SqlBackend`] ([`counts`]) serves the pipeline's `‖·‖` probes as
+//! generated SQL. Each statement is parsed and resolved; the two shapes
+//! generation produces run on the dictionary-code kernels, and any
+//! other statement runs whole on the tuple interpreter.
+//!
 //! The grammar intentionally admits hyphenated identifiers
 //! (`zip-code`, `project-name`, `Ass-Dept`) because the paper's worked
 //! example — like many legacy dictionaries — uses them; the subset has
@@ -17,7 +22,6 @@
 #![warn(missing_docs)]
 
 pub mod ast;
-pub mod batch;
 pub mod catalog;
 pub mod counts;
 pub mod error;
@@ -27,7 +31,6 @@ pub mod parser;
 pub mod token;
 
 pub use ast::{ColumnRef, Expr, Query, Select, Statement};
-pub use batch::{execute_query_batch, BatchReport};
 pub use catalog::Catalog;
 pub use counts::{count_join_sql, count_side_sql, join_stats_via_sql, SqlBackend};
 pub use error::{SqlError, SqlResult};
