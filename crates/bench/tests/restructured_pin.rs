@@ -1,7 +1,9 @@
 //! End-to-end pins of the restructured output at
 //! `scenario(8, 2000, 42)`: the decision log (every g3 error included)
 //! and every restructured extension, row by row, on all four backends,
-//! with every generated SQL probe served by the counting kernels.
+//! with every generated SQL probe served by the counting kernels; and
+//! at `scenario(8, 20_000, 42)`, where the paged backend spills its
+//! columns, on the resident and the paged backend.
 //! The digests were recorded from the `Value`-level Restruct and g3
 //! implementations that the coded kernels replaced; any change to a
 //! split table, a hidden-object table or a printed error moves them.
@@ -83,6 +85,51 @@ fn restructured_extensions_and_log_are_pinned_on_every_backend() {
             assert_eq!(x.fallback_failures, 0, "sql probes failed");
             assert_eq!(x.tuple_fallback_ops, 0, "sql probes ran on the interpreter");
             assert!(x.batch_ops > 0, "no sql probe ran");
+        }
+    }
+}
+
+const SPILLED_EXTENSIONS_DIGEST: u64 = 0xdf55_df3d_6ac1_c75d;
+const SPILLED_LOG_DIGEST: u64 = 0xbe99_db2b_ab64_e0f5;
+
+/// At 20k rows per entity the columns pass one page, so under a 1 MiB
+/// pool the paged backend spills them and every probe streams its
+/// codes through the pool; the restructured output must not move.
+#[test]
+fn spilled_restructure_is_pinned_on_resident_and_paged() {
+    let s = dbre_bench::scenario(8, 20_000, 42);
+    for (choice, page_cache) in [
+        (BackendChoice::Encoded, None),
+        (BackendChoice::Paged, Some(1 << 20)),
+    ] {
+        let opts = PipelineOptions {
+            backend: choice,
+            page_cache,
+            ..Default::default()
+        };
+        let r = run_with_programs(s.db.clone(), &s.programs, &mut AutoOracle::default(), &opts);
+        assert!(r.stage_errors.is_empty(), "{:?}", r.stage_errors);
+        assert_eq!(
+            fnv1a(extensions_text(&r.db).as_bytes()),
+            SPILLED_EXTENSIONS_DIGEST,
+            "restructured extensions moved on {}",
+            choice.name()
+        );
+        assert_eq!(
+            fnv1a(render_log(&r.log).as_bytes()),
+            SPILLED_LOG_DIGEST,
+            "decision log moved on {}",
+            choice.name()
+        );
+        if choice == BackendChoice::Paged {
+            assert!(
+                r.stats.page_cache.misses > 0,
+                "no page was read from a spill file"
+            );
+            assert_eq!(
+                r.stats.backend_exec.fallback_failures, 0,
+                "paged probes failed"
+            );
         }
     }
 }

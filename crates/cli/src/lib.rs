@@ -101,7 +101,7 @@ USAGE:
                [--sketch on|off] [--sessions N] [--dot OUT.dot] [--quiet]
   dbre extract --schema DDL.sql [--programs FILE|DIR]...
   dbre example
-  dbre help
+  dbre help | --help | -h
 ";
 
 /// Parses argv (without the binary name).
@@ -109,7 +109,7 @@ pub fn parse_args(args: &[String]) -> Command {
     let mut it = args.iter();
     match it.next().map(String::as_str) {
         Some("example") => Command::Example,
-        Some("help") | None => Command::Help(None),
+        Some("help" | "--help" | "-h") | None => Command::Help(None),
         Some(cmd @ ("reverse" | "extract")) => {
             let mut reverse = ReverseArgs {
                 oracle: "auto".into(),
@@ -118,6 +118,9 @@ pub fn parse_args(args: &[String]) -> Command {
             };
             let mut schema_seen = false;
             while let Some(flag) = it.next() {
+                if matches!(flag.as_str(), "--help" | "-h") {
+                    return Command::Help(None);
+                }
                 let mut value = |name: &str| -> Result<String, String> {
                     it.next()
                         .cloned()
@@ -684,6 +687,21 @@ mod tests {
         ));
         assert!(matches!(parse_args(&s(&[])), Command::Help(None)));
         assert!(matches!(parse_args(&s(&["example"])), Command::Example));
+    }
+
+    #[test]
+    fn help_flags_print_usage() {
+        for args in [
+            &["--help"][..],
+            &["-h"],
+            &["reverse", "--help"],
+            &["reverse", "--schema", "x", "-h"],
+            &["extract", "--help"],
+        ] {
+            let cmd = parse_args(&s(args));
+            assert!(matches!(cmd, Command::Help(None)), "{args:?}");
+            assert_eq!(run(&cmd), Ok(USAGE.to_string()), "{args:?}");
+        }
     }
 
     #[test]

@@ -24,11 +24,10 @@ use crate::pipeline::{PipelineOptions, PipelineResult, PipelineStats, StageError
 use crate::restruct::{restruct, Restructured};
 use crate::rhs_discovery::{rhs_discovery_sketched, RhsDiscovery};
 use crate::translate::translate;
-use dbre_relational::backend::{BackendExecStats, EncodedBackend, ReferenceBackend};
+use dbre_relational::backend::{BackendExecStats, EncodedBackend, PagedBackend, ReferenceBackend};
 use dbre_relational::bufpool::PageCacheStats;
 use dbre_relational::counting::EquiJoin;
 use dbre_relational::database::Database;
-use dbre_relational::pages::PagedBackend;
 use dbre_relational::spill::SpillCacheStats;
 use dbre_relational::stats::{StatsCounters, StatsEngine};
 use dbre_relational::DbreError;
@@ -107,14 +106,17 @@ impl BackendChoice {
             BackendChoice::Reference => StatsEngine::with_backend(Box::new(ReferenceBackend)),
             BackendChoice::Encoded => StatsEngine::with_backend(Box::new(EncodedBackend::new())),
             BackendChoice::Sql => StatsEngine::with_backend(Box::new(SqlBackend::new())),
-            BackendChoice::Paged => {
-                let backend = match page_cache_bytes {
-                    Some(bytes) => PagedBackend::with_capacity_bytes(bytes),
-                    None => PagedBackend::new(),
-                };
-                StatsEngine::with_backend(Box::new(backend))
-            }
+            BackendChoice::Paged => StatsEngine::with_backend(Box::new(paged(page_cache_bytes))),
         }
+    }
+}
+
+/// The paged backend with a buffer pool of `page_cache_bytes` (`None` =
+/// its 64 MiB default).
+fn paged(page_cache_bytes: Option<usize>) -> PagedBackend {
+    match page_cache_bytes {
+        Some(bytes) => PagedBackend::with_capacity_bytes(bytes),
+        None => PagedBackend::new(),
     }
 }
 
@@ -196,10 +198,7 @@ impl<'o> DbreSession<'o> {
                     options.backend.name()
                 ));
             }
-            let backend = match options.page_cache {
-                Some(bytes) => PagedBackend::with_capacity_bytes(bytes),
-                None => PagedBackend::new(),
-            };
+            let backend = paged(options.page_cache);
             for (rel, table) in &options.spilled {
                 backend.adopt_spilled(&db, *rel, table);
             }

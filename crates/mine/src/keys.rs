@@ -452,8 +452,9 @@ mod tests {
 
     #[test]
     fn streamed_extension_excludes_null_columns_from_keys() {
+        use dbre_relational::backend::PagedBackend;
         use dbre_relational::encode::ColumnDict;
-        use dbre_relational::pages::{PageFile, PagedBackend, PagedColumn};
+        use dbre_relational::pages::{PageFile, PagedColumn};
         use dbre_relational::spill::SpilledTable;
         use std::sync::Arc;
 

@@ -1,27 +1,34 @@
-//! The counting-backend seam: one trait for the `‖·‖` primitive.
+//! The counting-backend seam: one trait for the `‖·‖` primitive, and
+//! its in-crate implementations.
 //!
 //! Every algorithm of the paper is driven by a handful of extension
 //! statistics — `‖r[A]‖` distinct projections, the three IND-Discovery
 //! join cardinalities, FD extension tests, and LHS row groups (§6).
-//! The repo grew three independent implementations of them: the
-//! `Value`-based reference code ([`crate::counting`] / [`crate::table`]),
-//! the dictionary-encoded integer kernels ([`crate::encode`]), and a
-//! generated-SQL path that queries the extension the way a real DBRE
-//! tool would interrogate a live legacy DBMS (`dbre-sql`).
+//! [`CountBackend`] is the seam they are asked through: the memoizing
+//! [`crate::stats::StatsEngine`] decorates *any* `dyn CountBackend`
+//! with generation-tagged result caches, the pipeline selects a backend
+//! per run, and the differential test suite pins every implementation
+//! to the same answers. A future backend (sharded, remote, sampled) is
+//! a one-file addition that inherits the caching, the pipeline wiring,
+//! and the test harness.
 //!
-//! [`CountBackend`] is the seam that makes them interchangeable: the
-//! memoizing [`crate::stats::StatsEngine`] decorates *any*
-//! `dyn CountBackend` with generation-tagged result caches, the
-//! pipeline selects a backend per run, and the differential test suite
-//! pins all implementations to the same answers. A future backend
-//! (sharded, remote, sampled) is a one-file addition that inherits the
-//! caching, the pipeline wiring, and the test harness.
+//! Two implementations live here:
 //!
-//! Two backends live here — [`ReferenceBackend`] (the `Value`-based
-//! reference semantics) and [`EncodedBackend`] (the dictionary-encoded
-//! kernels, owning the per-column dictionary cache). The SQL backend
-//! lives in `dbre-sql` (`SqlBackend`), respecting the dependency
-//! direction: this crate knows nothing about SQL.
+//! * [`ReferenceBackend`] — the `Value`-based reference semantics of
+//!   [`crate::counting`] / [`crate::table`]: the oracle every other
+//!   backend is pinned against, and the fallback they degrade to;
+//! * [`CodedBackend`] — the dictionary-code kernels of
+//!   [`crate::kernels`] over per-column dictionaries cached per table
+//!   generation. Where a column's per-row codes live is a storage
+//!   decision, its [`Residency`]: [`EncodedBackend`] keeps every column
+//!   in RAM, [`PagedBackend`] spills a column longer than one page to a
+//!   [`PageFile`] read through a [`BufferPool`]. Both share one column
+//!   cache, one distinct-set cache, one kernel source and one delta
+//!   path, so a pool at least as large as the working set answers —
+//!   and caches — exactly like the resident backend.
+//!
+//! The SQL backend lives in `dbre-sql` (`SqlBackend`), respecting the
+//! dependency direction: this crate knows nothing about SQL.
 //!
 //! NULL conventions are part of the contract (see the trait docs):
 //! projections and counts drop NULL-bearing tuples (SQL
@@ -32,23 +39,25 @@
 //! these exactly — the differential proptests enforce it.
 
 use crate::attr::AttrId;
-use crate::bufpool::PageCacheStats;
+use crate::bufpool::{BufferPool, PageCacheStats};
 use crate::counting::{join_stats, EquiJoin, JoinStats};
 use crate::database::Database;
 use crate::delta::Delta;
 use crate::deps::{Fd, Ind};
-use crate::encode::{decode_set_cols, intersect_count, ColumnDict, DictTable, EncodedSet};
+use crate::encode::{decode_set_cols, intersect_count, ColumnDict, EncodedSet};
 use crate::error::DbreError;
-use crate::kernels;
-use crate::pages::PageError;
+use crate::kernels::{self, CodeSource};
+use crate::pages::{PageError, PageFile, PagedColumn, PagedSource, PAGE_CODES};
 use crate::partitions::StrippedPartition;
 use crate::schema::RelId;
 use crate::sketch::ColumnSketch;
-use crate::spill::SpillCacheStats;
+use crate::spill::{SpillCacheStats, SpilledTable};
 use crate::table::ProjKey;
 use crate::value::Value;
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, RwLock};
+use std::hash::Hash;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// What a cache shard does when its lock is recovered from poisoning:
 /// discard everything it holds. Dropping a cache is always sound (the
@@ -103,23 +112,89 @@ pub(crate) fn write_recover<T: PoisonReset>(
     }
 }
 
-/// A cache entry tagged with the table generation it was built from.
-pub(crate) struct Tagged<T> {
-    pub(crate) gen: u64,
+/// A cache entry tagged with the table generation it was built from
+/// (a pair of generations for an entry over two tables).
+pub(crate) struct Tagged<T, G = u64> {
+    pub(crate) gen: G,
     pub(crate) value: Arc<T>,
 }
 
-impl<T> Clone for Tagged<T> {
-    fn clone(&self) -> Self {
+/// A cache of generation-tagged entries.
+pub(crate) type TaggedCache<K, T, G = u64> = RwLock<HashMap<K, Tagged<T, G>>>;
+
+/// Serves `cache[key]` when its tag is `gen`; otherwise runs `build`
+/// and inserts its value under `gen`, replacing any stale entry. The
+/// flag is `true` when this call's build is the value returned.
+///
+/// Keys can be shared across concurrent probes (two parallel join
+/// probes touch the same column, parallel FD checks share an LHS), so
+/// after building the entry is re-checked under the write lock: if a
+/// concurrent prober beat us, its entry is adopted (flag `false`, as
+/// for a plain hit) and ours dropped. Building before locking wastes
+/// the loser's pass but never serializes distinct keys.
+pub(crate) fn cached<K: Hash + Eq, T, G: Eq, E>(
+    cache: &TaggedCache<K, T, G>,
+    key: K,
+    gen: G,
+    build: impl FnOnce() -> Result<Arc<T>, E>,
+) -> Result<(Arc<T>, bool), E> {
+    if let Some(entry) = read_recover(cache).get(&key) {
+        if entry.gen == gen {
+            return Ok((Arc::clone(&entry.value), false));
+        }
+    }
+    let value = build()?;
+    let mut guard = write_recover(cache);
+    if let Some(entry) = guard.get(&key) {
+        if entry.gen == gen {
+            return Ok((Arc::clone(&entry.value), false));
+        }
+    }
+    guard.insert(
+        key,
         Tagged {
-            gen: self.gen,
-            value: Arc::clone(&self.value),
+            gen,
+            value: Arc::clone(&value),
+        },
+    );
+    Ok((value, true))
+}
+
+/// Carries the entries of relation `rel` across a committed delta:
+/// each entry tagged `old_gen` is fed to `step` and re-inserted under
+/// `new_gen` when it returns a maintained value; every other entry of
+/// `rel` (stale tags, shapes `step` declines) is evicted. Entries of
+/// other relations are untouched.
+pub(crate) fn maintain<A: Clone + Eq + Hash, T>(
+    cache: &TaggedCache<(RelId, A), T>,
+    rel: RelId,
+    old_gen: u64,
+    new_gen: u64,
+    mut step: impl FnMut(&A, &T) -> Option<T>,
+) {
+    let mut guard = write_recover(cache);
+    let keys: Vec<(RelId, A)> = guard.keys().filter(|(r, _)| *r == rel).cloned().collect();
+    for key in keys {
+        let next = guard
+            .get(&key)
+            .filter(|entry| entry.gen == old_gen)
+            .and_then(|entry| step(&key.1, &entry.value));
+        match next {
+            Some(value) => {
+                guard.insert(
+                    key,
+                    Tagged {
+                        gen: new_gen,
+                        value: Arc::new(value),
+                    },
+                );
+            }
+            None => {
+                guard.remove(&key);
+            }
         }
     }
 }
-
-/// Generation-tagged cache keyed by a projection `(rel, attrs)`.
-type ProjectionCache<T> = RwLock<HashMap<(RelId, Vec<AttrId>), Tagged<T>>>;
 
 /// Execution counters a backend may expose about *how* it served its
 /// probes — all zero for backends with a single execution strategy.
@@ -148,7 +223,7 @@ pub struct BackendExecStats {
 ///
 /// All methods take the [`Database`] by parameter — backends are
 /// (logically) stateless services over whatever extension they are
-/// handed; any internal caching (see [`EncodedBackend`]) must be
+/// handed; any internal caching (see [`CodedBackend`]) must be
 /// generation-aware and invisible in the results. `Send + Sync` is a
 /// supertrait so one backend can serve the parallel workers of
 /// [`crate::par::par_map`] through a shared reference.
@@ -336,7 +411,7 @@ pub fn column_dicts(
 
 /// Shared `Value`-level implementation of the LHS-group contract (see
 /// [`CountBackend::lhs_groups`]); also the oracle the differential
-/// tests compare against, and the fallback the paged backend degrades
+/// tests compare against, and the fallback the coded backend degrades
 /// to on a spill-file failure.
 pub(crate) fn lhs_groups_reference(db: &Database, rel: RelId, attrs: &[AttrId]) -> Vec<Vec<usize>> {
     let table = db.table(rel);
@@ -393,28 +468,221 @@ impl CountBackend for ReferenceBackend {
     }
 }
 
-/// The dictionary-encoded backend (PR 3 kernels): each column a probe
-/// touches is interned once per table generation into a
-/// [`ColumnDict`], and counting / grouping / partitioning / join
-/// kernels run on dense `u32` codes instead of cloning `Value` tuples
-/// per row.
+/// Where a [`CodedBackend`] keeps the per-row codes of the columns it
+/// encodes. The dictionary halves (decode table, encode index, NULL
+/// count, per-code counts) always stay in RAM; only the codes move.
 ///
-/// The per-column dictionaries and the per-projection encoded sets are
-/// cached *inside* the backend, tagged with [`Database::generation`]
-/// so a mutated table can never serve stale codes. Encoding lazily per
-/// column matters on the paper's workloads: a query set `Q` joins a
-/// handful of key columns of wide denormalized relations, so encoding
-/// whole tables up front would dominate the cold path the encoding is
-/// meant to speed up.
-#[derive(Default)]
-pub struct EncodedBackend {
-    /// Per-column dictionary encodings, keyed per
-    /// `(relation, attribute)` so a probe touching two columns of a
-    /// wide table pays for exactly those two builds.
-    columns: RwLock<HashMap<(RelId, AttrId), Tagged<ColumnDict>>>,
-    /// Encoded distinct-code sets per `(rel, attrs)` — shared between
-    /// counts, projections and every join side touching them.
-    encoded: ProjectionCache<EncodedSet>,
+/// Two residencies exist, one per backend name:
+///
+/// * `()` — **resident** ([`EncodedBackend`]): every column keeps its
+///   full [`ColumnDict`], codes and all;
+/// * `Arc<BufferPool>` — **pooled** ([`PagedBackend`]): a column longer
+///   than one page ([`PAGE_CODES`] rows) spills its codes to a
+///   [`PageFile`] read through the pool and keeps only the slim
+///   dictionary; a shorter column stays resident, since its own spill
+///   file would cost more than every scan of it.
+pub trait Residency: Send + Sync {
+    /// The backend's [`CountBackend::name`].
+    const NAME: &'static str;
+
+    /// The pool spilled columns are read through; `None` keeps every
+    /// column resident.
+    fn pool(&self) -> Option<&Arc<BufferPool>>;
+}
+
+impl Residency for () {
+    const NAME: &'static str = "encoded";
+
+    fn pool(&self) -> Option<&Arc<BufferPool>> {
+        None
+    }
+}
+
+impl Residency for Arc<BufferPool> {
+    const NAME: &'static str = "paged";
+
+    fn pool(&self) -> Option<&Arc<BufferPool>> {
+        Some(self)
+    }
+}
+
+/// The in-memory coded backend: every column resident.
+pub type EncodedBackend = CodedBackend<()>;
+
+/// The out-of-core coded backend: columns longer than one page
+/// streamed from spill files through a capacity-bounded buffer pool.
+pub type PagedBackend = CodedBackend<Arc<BufferPool>>;
+
+/// One cached column of a [`CodedBackend`], and the [`CodeSource`] the
+/// kernels scan it through.
+pub(crate) enum Column {
+    /// The full dictionary, per-row codes included. Its pages are
+    /// borrowed slices of those codes.
+    Resident(Arc<ColumnDict>),
+    /// The slim dictionary, with the codes in a spill file read through
+    /// `pool`. The full dictionary is rehydrated (streaming every page)
+    /// on the first [`CountBackend::column_dict`] request and kept with
+    /// the column.
+    Spilled {
+        col: Arc<PagedColumn>,
+        pool: Arc<BufferPool>,
+        hydrated: OnceLock<Arc<ColumnDict>>,
+    },
+}
+
+impl Column {
+    fn spilled(col: Arc<PagedColumn>, pool: &Arc<BufferPool>) -> Column {
+        Column::Spilled {
+            col,
+            pool: Arc::clone(pool),
+            hydrated: OnceLock::new(),
+        }
+    }
+
+    /// The resident dictionary (slim for a spilled column).
+    fn dict(&self) -> &ColumnDict {
+        match self {
+            Column::Resident(dict) => dict,
+            Column::Spilled { col, .. } => col.dict(),
+        }
+    }
+
+    /// The full dictionary of a resident column; `None` when the codes
+    /// are spilled.
+    fn resident(&self) -> Option<&ColumnDict> {
+        match self {
+            Column::Resident(dict) => Some(dict),
+            Column::Spilled { .. } => None,
+        }
+    }
+
+    /// The full dictionary, rehydrating a spilled column once.
+    fn full_dict(&self) -> Result<Arc<ColumnDict>, PageError> {
+        match self {
+            Column::Resident(dict) => Ok(Arc::clone(dict)),
+            Column::Spilled {
+                col,
+                pool,
+                hydrated,
+            } => {
+                if let Some(dict) = hydrated.get() {
+                    return Ok(Arc::clone(dict));
+                }
+                let full = Arc::new(col.dict().rehydrate(col.read_all_codes(pool)?));
+                Ok(Arc::clone(hydrated.get_or_init(|| full)))
+            }
+        }
+    }
+}
+
+impl Drop for Column {
+    /// A spilled column's pages die with it: once the cache has dropped
+    /// the column (table mutated, delta applied, column replaced) and
+    /// the last probe reading it is done, its pages leave the pool.
+    fn drop(&mut self) {
+        if let Column::Spilled { col, pool, .. } = self {
+            pool.evict_file(col.file().id());
+        }
+    }
+}
+
+/// A page of a [`Column`]: borrowed from a resident dictionary, or
+/// pinned in the buffer pool.
+pub(crate) enum ColumnPage<'a> {
+    Borrowed(&'a [u32]),
+    Pinned(Arc<Vec<u32>>),
+}
+
+impl std::ops::Deref for ColumnPage<'_> {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        match self {
+            ColumnPage::Borrowed(codes) => codes,
+            ColumnPage::Pinned(page) => page,
+        }
+    }
+}
+
+impl<'a> CodeSource for &'a Column {
+    type Page = ColumnPage<'a>;
+    type Error = PageError;
+
+    fn blocking(&self) -> bool {
+        matches!(self, Column::Spilled { .. })
+    }
+
+    fn dict(&self) -> &ColumnDict {
+        Column::dict(self)
+    }
+
+    fn page(&self, page: usize) -> Result<ColumnPage<'a>, PageError> {
+        match *self {
+            Column::Resident(dict) => {
+                let Ok(codes) = dict.as_ref().page(page);
+                Ok(ColumnPage::Borrowed(codes))
+            }
+            Column::Spilled { col, pool, .. } => PagedSource::new(col, pool)
+                .page(page)
+                .map(ColumnPage::Pinned),
+        }
+    }
+}
+
+/// The kernel sources of `cols`.
+fn sources(cols: &[Arc<Column>]) -> Vec<&Column> {
+    cols.iter().map(Arc::as_ref).collect()
+}
+
+/// The resident dictionaries of `cols` (slim for spilled columns): all
+/// the cross-column kernels ([`intersect_count`], [`decode_set_cols`])
+/// read.
+fn dicts(cols: &[Arc<Column>]) -> Vec<&ColumnDict> {
+    cols.iter().map(|c| c.dict()).collect()
+}
+
+/// The dictionary-code counting backend: each column a probe touches
+/// is interned once per table generation into a [`ColumnDict`], and the
+/// [`crate::kernels`] count, group and partition its dense `u32` codes
+/// instead of cloning `Value` tuples per row. `R` is the [`Residency`]
+/// deciding where those codes live; [`EncodedBackend`] and
+/// [`PagedBackend`] are its two instances.
+///
+/// The column dictionaries and the per-projection distinct-code sets
+/// are cached *inside* the backend, tagged with
+/// [`Database::generation`] so a mutated table can never serve stale
+/// codes. Encoding lazily per column matters on the paper's workloads:
+/// a query set `Q` joins a handful of key columns of wide denormalized
+/// relations, so encoding whole tables up front would dominate the cold
+/// path the encoding is meant to speed up.
+///
+/// A probe that fails to read a spilled column degrades to the
+/// `Value`-based reference semantics and counts the failure in
+/// [`BackendExecStats::fallback_failures`] — an I/O error costs speed,
+/// never a wrong answer or a panic — unless the table is a streamed
+/// extension, which has no in-memory values to fall back to.
+pub struct CodedBackend<R> {
+    residency: R,
+    /// Per-column encodings, keyed per `(relation, attribute)` so a
+    /// probe touching two columns of a wide table pays for exactly
+    /// those two builds.
+    columns: TaggedCache<(RelId, AttrId), Column>,
+    /// Distinct-code sets per `(rel, attrs)` — shared between counts,
+    /// projections and every join side touching them.
+    sets: TaggedCache<(RelId, Vec<AttrId>), EncodedSet>,
+    fallbacks: AtomicU64,
+    /// Streamed-ingest tables adopted from the persistent spill cache
+    /// (encode skipped entirely).
+    spill_hits: AtomicU64,
+    /// Streamed-ingest tables that had to encode (cold cache, or no
+    /// `--spill-dir` configured).
+    spill_misses: AtomicU64,
+}
+
+impl<R: Residency + Default> Default for CodedBackend<R> {
+    fn default() -> Self {
+        CodedBackend::with_residency(R::default())
+    }
 }
 
 impl EncodedBackend {
@@ -422,243 +690,338 @@ impl EncodedBackend {
     pub fn new() -> Self {
         EncodedBackend::default()
     }
+}
 
-    /// The dictionary encoding of one column of `rel`, built once per
-    /// table generation and shared out of the cache. The returned
-    /// `Arc` is safe to share read-only across parallel workers.
-    pub fn column_dict(&self, db: &Database, rel: RelId, attr: AttrId) -> Arc<ColumnDict> {
+impl PagedBackend {
+    /// A paged backend with the default 64 MiB buffer pool.
+    pub fn new() -> Self {
+        PagedBackend::default()
+    }
+
+    /// A paged backend whose pool holds at most `bytes` of page data.
+    pub fn with_capacity_bytes(bytes: usize) -> Self {
+        PagedBackend::with_pool(Arc::new(BufferPool::with_capacity_bytes(bytes)))
+    }
+
+    /// A paged backend over an explicit (possibly shared) pool.
+    pub fn with_pool(pool: Arc<BufferPool>) -> Self {
+        CodedBackend::with_residency(pool)
+    }
+
+    /// The backend's buffer pool.
+    pub fn pool(&self) -> &BufferPool {
+        &self.residency
+    }
+
+    /// Adopts a streamed-ingest table's columns: the spill files were
+    /// written (or loaded from the persistent cache) by
+    /// `import_csv_spilled`, so no encode pass runs here. Columns are
+    /// installed spilled, whatever their length, under the table's
+    /// *current* generation; the spill hit/miss counters record whether
+    /// the cache skipped encode.
+    pub fn adopt_spilled(&self, db: &Database, rel: RelId, table: &SpilledTable) {
         let gen = db.generation(rel);
-        let key = (rel, attr);
-        if let Some(entry) = read_recover(&self.columns).get(&key) {
-            if entry.gen == gen {
-                return Arc::clone(&entry.value);
-            }
-        }
-        let value = Arc::new(ColumnDict::build(db.table(rel).column(attr)));
-        // Column keys are shared across concurrent probes (two
-        // parallel join probes can touch the same column), so re-check
-        // under the write lock: if a concurrent prober beat us, adopt
-        // its entry and drop ours. Building before locking wastes the
-        // loser's pass but never serializes distinct columns.
         let mut columns = write_recover(&self.columns);
-        if let Some(entry) = columns.get(&key) {
-            if entry.gen == gen {
-                return Arc::clone(&entry.value);
-            }
+        for (i, col) in table.columns().iter().enumerate() {
+            let column = Column::spilled(Arc::clone(col), &self.residency);
+            columns.insert(
+                (rel, AttrId(i as u16)),
+                Tagged {
+                    gen,
+                    value: Arc::new(column),
+                },
+            );
         }
-        columns.insert(
-            key,
-            Tagged {
-                gen,
-                value: Arc::clone(&value),
-            },
-        );
-        value
-    }
-
-    /// The cached column dictionaries of `attrs`, in order (repeats
-    /// allowed).
-    fn attr_dicts(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> Vec<Arc<ColumnDict>> {
-        attrs
-            .iter()
-            .map(|a| self.column_dict(db, rel, *a))
-            .collect()
-    }
-
-    /// The dictionary encoding of `rel`'s *whole* table, assembled
-    /// from the per-column cache (cheap `Arc` clones for already-warm
-    /// columns) — the CSV import prewarm path. Statistic probes go
-    /// through the per-column kernels and never force untouched
-    /// columns to encode.
-    pub fn dict(&self, db: &Database, rel: RelId) -> Arc<DictTable> {
-        let table = db.table(rel);
-        let columns = (0..table.arity())
-            .map(|i| self.column_dict(db, rel, AttrId(i as u16)))
-            .collect();
-        Arc::new(DictTable::from_columns(columns, table.len()))
-    }
-
-    /// The distinct non-NULL projected code tuples `π_{attrs}(rel)` in
-    /// encoded form, shared out of the cache.
-    fn encoded_set(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> Arc<EncodedSet> {
-        let gen = db.generation(rel);
-        let key = (rel, attrs.to_vec());
-        if let Some(entry) = read_recover(&self.encoded).get(&key) {
-            if entry.gen == gen {
-                return Arc::clone(&entry.value);
-            }
+        drop(columns);
+        if table.from_cache() {
+            self.spill_hits.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.spill_misses.fetch_add(1, Ordering::Relaxed);
         }
-        let dicts = self.attr_dicts(db, rel, attrs);
-        let cols: Vec<&ColumnDict> = dicts.iter().map(Arc::as_ref).collect();
-        let Ok(set) = kernels::distinct_codes(&cols, db.table(rel).len());
-        let value = Arc::new(set);
-        let mut encoded = write_recover(&self.encoded);
-        if let Some(entry) = encoded.get(&key) {
-            if entry.gen == gen {
-                return Arc::clone(&entry.value);
-            }
-        }
-        encoded.insert(
-            key,
-            Tagged {
-                gen,
-                value: Arc::clone(&value),
-            },
-        );
-        value
     }
 }
 
-impl CountBackend for EncodedBackend {
-    fn name(&self) -> &'static str {
-        "encoded"
-    }
-
-    fn count_distinct(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> usize {
-        self.encoded_set(db, rel, attrs).len()
-    }
-
-    fn join_stats(&self, db: &Database, join: &EquiJoin) -> JoinStats {
-        let ldicts = self.attr_dicts(db, join.left.rel, &join.left.attrs);
-        let rdicts = self.attr_dicts(db, join.right.rel, &join.right.attrs);
-        let left = self.encoded_set(db, join.left.rel, &join.left.attrs);
-        let right = self.encoded_set(db, join.right.rel, &join.right.attrs);
-        let lcols: Vec<&ColumnDict> = ldicts.iter().map(Arc::as_ref).collect();
-        let rcols: Vec<&ColumnDict> = rdicts.iter().map(Arc::as_ref).collect();
-        let n_join = intersect_count(&lcols, &left, &rcols, &right);
-        JoinStats {
-            n_left: left.len(),
-            n_right: right.len(),
-            n_join,
+impl<R: Residency> CodedBackend<R> {
+    fn with_residency(residency: R) -> Self {
+        CodedBackend {
+            residency,
+            columns: RwLock::default(),
+            sets: RwLock::default(),
+            fallbacks: AtomicU64::new(0),
+            spill_hits: AtomicU64::new(0),
+            spill_misses: AtomicU64::new(0),
         }
     }
 
+    /// The residency rule: a pooled backend spills a column longer than
+    /// one page and keeps its slim dictionary; every other column stays
+    /// resident whole.
+    fn place(&self, dict: ColumnDict) -> Result<Column, PageError> {
+        match self.residency.pool() {
+            Some(pool) if dict.rows() > PAGE_CODES => {
+                let file = PageFile::spill(dict.codes())?;
+                let col = PagedColumn::new(Arc::new(dict.slim()), file);
+                Ok(Column::spilled(Arc::new(col), pool))
+            }
+            _ => Ok(Column::Resident(Arc::new(dict))),
+        }
+    }
+
+    /// One column, encoded (and placed) once per table generation and
+    /// shared out of the cache.
+    pub(crate) fn column(
+        &self,
+        db: &Database,
+        rel: RelId,
+        attr: AttrId,
+    ) -> Result<Arc<Column>, PageError> {
+        let built = cached(&self.columns, (rel, attr), db.generation(rel), || {
+            let table = db.table(rel);
+            // A streamed extension's rows exist only in adopted spill
+            // files — there is no in-memory column to (re-)encode
+            // from. A miss here means the adopted columns were
+            // invalidated (the table mutated); encoding the empty
+            // in-memory column would silently count zero rows.
+            if !table.is_materialized() {
+                return Err(PageError::Io(format!(
+                    "column {} of relation {} is a streamed extension with no spilled pages",
+                    attr.0, rel.0
+                )));
+            }
+            self.place(ColumnDict::build(table.column(attr)))
+                .map(Arc::new)
+        });
+        built.map(|(col, _)| col)
+    }
+
+    /// The cached columns of `attrs`, in order (repeats allowed).
+    fn columns(
+        &self,
+        db: &Database,
+        rel: RelId,
+        attrs: &[AttrId],
+    ) -> Result<Vec<Arc<Column>>, PageError> {
+        attrs.iter().map(|a| self.column(db, rel, *a)).collect()
+    }
+
+    /// The distinct non-NULL projected code tuples `π_{attrs}(rel)`,
+    /// shared out of the cache. A unary set is just the cardinality;
+    /// wider ones hold one entry per distinct tuple.
+    fn encoded_set(
+        &self,
+        db: &Database,
+        rel: RelId,
+        attrs: &[AttrId],
+    ) -> Result<Arc<EncodedSet>, PageError> {
+        let key = (rel, attrs.to_vec());
+        let built = cached(&self.sets, key, db.generation(rel), || {
+            let cols = self.columns(db, rel, attrs)?;
+            kernels::distinct_codes(&sources(&cols), db.table(rel).len()).map(Arc::new)
+        });
+        built.map(|(set, _)| set)
+    }
+
+    /// The probe's answer, or — when it failed — the reference answer,
+    /// with the failure noted by [`Self::note_fallback_or_die`].
+    fn or_reference<T>(
+        &self,
+        db: &Database,
+        rels: &[RelId],
+        probe: Result<T, PageError>,
+        reference: impl FnOnce() -> T,
+    ) -> T {
+        probe.unwrap_or_else(|err| {
+            self.note_fallback_or_die(db, rels, &err);
+            reference()
+        })
+    }
+
+    /// Counts a probe degraded to the reference path — unless one of
+    /// the involved tables is a streamed extension, where the reference
+    /// path would compute over *empty* in-memory columns. A loud panic
+    /// (caught and surfaced by the session's per-stage isolation) beats
+    /// a silently wrong answer.
+    fn note_fallback_or_die(&self, db: &Database, rels: &[RelId], err: &PageError) {
+        for &rel in rels {
+            assert!(
+                db.table(rel).is_materialized(),
+                "coded backend failed on a streamed extension with no in-memory fallback: {err}"
+            );
+        }
+        self.fallbacks.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+impl<R: Residency> CountBackend for CodedBackend<R> {
+    fn name(&self) -> &'static str {
+        R::NAME
+    }
+
+    fn count_distinct(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> usize {
+        let probe = self.encoded_set(db, rel, attrs).map(|set| set.len());
+        self.or_reference(db, &[rel], probe, || db.table(rel).count_distinct(attrs))
+    }
+
+    fn join_stats(&self, db: &Database, join: &EquiJoin) -> JoinStats {
+        let (l, r) = (&join.left, &join.right);
+        let probe = (|| -> Result<JoinStats, PageError> {
+            let (lcols, rcols) = (
+                self.columns(db, l.rel, &l.attrs)?,
+                self.columns(db, r.rel, &r.attrs)?,
+            );
+            let left = self.encoded_set(db, l.rel, &l.attrs)?;
+            let right = self.encoded_set(db, r.rel, &r.attrs)?;
+            Ok(JoinStats {
+                n_left: left.len(),
+                n_right: right.len(),
+                n_join: intersect_count(&dicts(&lcols), &left, &dicts(&rcols), &right),
+            })
+        })();
+        self.or_reference(db, &[l.rel, r.rel], probe, || join_stats(db, join))
+    }
+
     fn lhs_groups(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> Arc<Vec<Vec<usize>>> {
-        let dicts = self.attr_dicts(db, rel, attrs);
-        let cols: Vec<&ColumnDict> = dicts.iter().map(Arc::as_ref).collect();
-        let Ok(groups) = kernels::lhs_groups(&cols, db.table(rel).len());
+        let probe = self
+            .columns(db, rel, attrs)
+            .and_then(|cols| kernels::lhs_groups(&sources(&cols), db.table(rel).len()));
+        let groups = self.or_reference(db, &[rel], probe, || lhs_groups_reference(db, rel, attrs));
         Arc::new(groups)
     }
 
     fn projection(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> Arc<HashSet<ProjKey>> {
-        let set = self.encoded_set(db, rel, attrs);
-        let dicts = self.attr_dicts(db, rel, attrs);
-        let cols: Vec<&ColumnDict> = dicts.iter().map(Arc::as_ref).collect();
-        Arc::new(decode_set_cols(&cols, &set))
+        let probe = self.columns(db, rel, attrs).and_then(|cols| {
+            let set = self.encoded_set(db, rel, attrs)?;
+            Ok(decode_set_cols(&dicts(&cols), &set))
+        });
+        let set = self.or_reference(db, &[rel], probe, || {
+            db.table(rel).distinct_projection(attrs)
+        });
+        Arc::new(set)
+    }
+
+    /// One pass over LHS and RHS codes keeping a witness per LHS group
+    /// ([`kernels::fd_holds`]), so a spilled probe runs in pool-sized
+    /// memory.
+    fn fd_holds(&self, db: &Database, fd: &Fd) -> bool {
+        let lhs: Vec<AttrId> = fd.lhs.iter().collect();
+        let rhs: Vec<AttrId> = fd.rhs.iter().collect();
+        let probe = (|| -> Result<bool, PageError> {
+            let (lcols, rcols) = (
+                self.columns(db, fd.rel, &lhs)?,
+                self.columns(db, fd.rel, &rhs)?,
+            );
+            kernels::fd_holds(&sources(&lcols), &sources(&rcols), db.table(fd.rel).len())
+        })();
+        self.or_reference(db, &[fd.rel], probe, || db.fd_holds(fd))
     }
 
     fn partition1(&self, db: &Database, rel: RelId, attr: AttrId) -> Arc<StrippedPartition> {
         // Array-bucket build over the code domain — no hashing.
-        let dict = self.column_dict(db, rel, attr);
-        let Ok(p) = kernels::partition1(dict.as_ref(), db.table(rel).len());
+        let probe = self
+            .column(db, rel, attr)
+            .and_then(|col| kernels::partition1(col.as_ref(), db.table(rel).len()));
+        let p = self.or_reference(db, &[rel], probe, || {
+            StrippedPartition::for_attribute(db.table(rel), attr)
+        });
         Arc::new(p)
     }
 
     fn prewarm(&self, db: &Database, rel: RelId) {
-        // Interning every column while the rows are hot is exactly
-        // assembling the whole-table dictionary.
-        self.dict(db, rel);
+        // Intern (and place) every column while the rows are hot; a
+        // failed spill is retried, and fallback-counted, by whichever
+        // probe needs the column.
+        for i in 0..db.table(rel).arity() {
+            let _ = self.column(db, rel, AttrId(i as u16));
+        }
     }
 
     fn column_dict(&self, db: &Database, rel: RelId, attr: AttrId) -> Option<Arc<ColumnDict>> {
-        Some(EncodedBackend::column_dict(self, db, rel, attr))
+        let probe = self.column(db, rel, attr).and_then(|col| col.full_dict());
+        self.or_reference(db, &[rel], probe.map(Some), || None)
     }
 
     fn column_sketch(&self, db: &Database, rel: RelId, attr: AttrId) -> Option<Arc<ColumnSketch>> {
         // Lazily attached to the generation-cached dictionary, so the
         // sketch always summarizes exactly the state the counting
-        // kernels read (and is built at most once per generation).
-        EncodedBackend::column_dict(self, db, rel, attr).sketch()
+        // kernels read. A spilled column's slim dictionary carries the
+        // whole value set and the fused counts — everything a sketch
+        // summarizes — so this never reads a code page; streamed-ingest
+        // columns loaded from a warm spill entry arrive with the sketch
+        // preseeded. A failed encode simply yields no sketch: pruning
+        // is disabled, answers unchanged.
+        self.column(db, rel, attr)
+            .ok()
+            .and_then(|col| col.dict().sketch())
     }
 
-    /// Delta maintenance of the dictionary caches. Appends extend the
-    /// cached interning (codes stay first-occurrence canonical) and
-    /// insert the appended code tuples into cached distinct sets;
-    /// deletes decrement per-code counts, evicting a dictionary only
-    /// when a value's last occurrence vanished (a rebuild would assign
-    /// different codes). Distinct sets carry no multiplicities, so
-    /// deletes evict them wholesale.
+    fn exec_stats(&self) -> BackendExecStats {
+        BackendExecStats {
+            fallback_failures: self.fallbacks.load(Ordering::Relaxed),
+            ..BackendExecStats::default()
+        }
+    }
+
+    fn page_stats(&self) -> PageCacheStats {
+        self.residency
+            .pool()
+            .map_or_else(PageCacheStats::default, |pool| pool.stats())
+    }
+
+    fn spill_stats(&self) -> SpillCacheStats {
+        SpillCacheStats {
+            hits: self.spill_hits.load(Ordering::Relaxed),
+            misses: self.spill_misses.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Delta maintenance of the column and set caches. Appends extend a
+    /// resident column's interning (codes stay first-occurrence
+    /// canonical) and insert the appended code tuples into cached
+    /// distinct sets; deletes decrement per-code counts, evicting a
+    /// dictionary only when a value's last occurrence vanished (a
+    /// rebuild would assign different codes). A maintained column is
+    /// placed again, so one that grew past a page under the pooled
+    /// residency spills. Spilled columns are evicted — their pages
+    /// leave the pool with them — and so are sets over them. Distinct
+    /// sets carry no multiplicities, so deletes evict them wholesale.
     fn apply_delta(&self, before: &Database, after: &Database, delta: &Delta) {
         let rel = delta.rel();
-        let old_gen = before.generation(rel);
-        let new_gen = after.generation(rel);
-        {
-            let mut columns = write_recover(&self.columns);
-            let keys: Vec<(RelId, AttrId)> =
-                columns.keys().filter(|(r, _)| *r == rel).copied().collect();
-            for key in keys {
-                let maintained = columns
-                    .get(&key)
-                    .filter(|entry| entry.gen == old_gen)
-                    .and_then(|entry| {
-                        let mut dict = (*entry.value).clone();
-                        match delta {
-                            Delta::Append { rows, .. } => {
-                                let cells: Vec<Value> =
-                                    rows.iter().map(|r| r[key.1.index()].clone()).collect();
-                                dict.append_values(&cells);
-                                Some(dict)
-                            }
-                            Delta::Delete { rows, .. } => dict.remove_rows(rows).then_some(dict),
-                        }
-                    });
-                match maintained {
-                    Some(dict) => {
-                        columns.insert(
-                            key,
-                            Tagged {
-                                gen: new_gen,
-                                value: Arc::new(dict),
-                            },
-                        );
-                    }
-                    None => {
-                        columns.remove(&key);
+        let (old_gen, new_gen) = (before.generation(rel), after.generation(rel));
+        maintain(&self.columns, rel, old_gen, new_gen, |attr, col| {
+            let mut dict = col.resident()?.clone();
+            match delta {
+                Delta::Append { rows, .. } => {
+                    let cells: Vec<Value> = rows.iter().map(|r| r[attr.index()].clone()).collect();
+                    dict.append_values(&cells);
+                }
+                Delta::Delete { rows, .. } => {
+                    if !dict.remove_rows(rows) {
+                        return None;
                     }
                 }
             }
-        }
-        match delta {
-            Delta::Delete { .. } => {
-                let mut encoded = write_recover(&self.encoded);
-                encoded.retain(|(r, _), _| *r != rel);
-            }
-            Delta::Append { .. } => {
-                let old_rows = before.table(rel).len();
-                let new_rows = after.table(rel).len();
-                let stale: Vec<(RelId, Vec<AttrId>)> = {
-                    let encoded = read_recover(&self.encoded);
-                    encoded.keys().filter(|(r, _)| *r == rel).cloned().collect()
-                };
-                for key in stale {
-                    // Pull the maintained (or freshly built) dicts
-                    // outside the encoded-set lock; `column_dict` only
-                    // touches the columns shard.
-                    let dicts = self.attr_dicts(after, rel, &key.1);
-                    let cols: Vec<&ColumnDict> = dicts.iter().map(Arc::as_ref).collect();
-                    let mut encoded = write_recover(&self.encoded);
-                    let maintained = encoded.get(&key).filter(|e| e.gen == old_gen).map(|entry| {
-                        let mut set = (*entry.value).clone();
-                        set.append_rows(&cols, old_rows, new_rows);
-                        set
-                    });
-                    match maintained {
-                        Some(set) => {
-                            encoded.insert(
-                                key,
-                                Tagged {
-                                    gen: new_gen,
-                                    value: Arc::new(set),
-                                },
-                            );
-                        }
-                        None => {
-                            encoded.remove(&key);
-                        }
-                    }
+            self.place(dict).ok()
+        });
+        let (old_rows, new_rows) = (before.table(rel).len(), after.table(rel).len());
+        maintain(
+            &self.sets,
+            rel,
+            old_gen,
+            new_gen,
+            |attrs, set| match delta {
+                Delta::Delete { .. } => None,
+                Delta::Append { .. } => {
+                    // The columns were maintained just above (or are
+                    // rebuilt here).
+                    let cols = self.columns(after, rel, attrs).ok()?;
+                    let dicts: Vec<&ColumnDict> =
+                        cols.iter().map(|c| c.resident()).collect::<Option<_>>()?;
+                    let mut set = set.clone();
+                    set.append_rows(&dicts, old_rows, new_rows);
+                    Some(set)
                 }
-            }
-        }
+            },
+        );
     }
 }
 
@@ -667,6 +1030,7 @@ mod tests {
     use super::*;
     use crate::attr::AttrSet;
     use crate::deps::IndSide;
+    use crate::pages::PAGE_BYTES;
     use crate::schema::Relation;
     use crate::value::Domain;
 
@@ -696,7 +1060,9 @@ mod tests {
         let (db, l, r) = sample_db();
         let reference = ReferenceBackend;
         let encoded = EncodedBackend::new();
-        let backends: [&dyn CountBackend; 2] = [&reference, &encoded];
+        // One page worth of pool is enough for correctness.
+        let paged = PagedBackend::with_capacity_bytes(PAGE_BYTES);
+        let backends: [&dyn CountBackend; 3] = [&reference, &encoded, &paged];
         let join = EquiJoin::try_new(IndSide::single(l, AttrId(0)), IndSide::single(r, AttrId(0)))
             .unwrap();
         let fd = Fd::new(
@@ -711,26 +1077,65 @@ mod tests {
             assert_eq!(*b.lhs_groups(&db, l, &[AttrId(0)]), vec![vec![0, 1]]);
             assert_eq!(b.fd_holds(&db, &fd), db.fd_holds(&fd));
             assert_eq!(b.ind_holds(&db, &ind), db.ind_holds(&ind));
-            assert_eq!(
-                *b.projection(&db, l, &[AttrId(0)]),
-                db.table(l).distinct_projection(&[AttrId(0)])
-            );
+            for attrs in [vec![AttrId(0)], vec![AttrId(0), AttrId(1)]] {
+                assert_eq!(
+                    b.count_distinct(&db, l, &attrs),
+                    db.table(l).count_distinct(&attrs)
+                );
+                assert_eq!(
+                    *b.lhs_groups(&db, l, &attrs),
+                    lhs_groups_reference(&db, l, &attrs)
+                );
+                assert_eq!(
+                    *b.projection(&db, l, &attrs),
+                    db.table(l).distinct_projection(&attrs)
+                );
+            }
             assert_eq!(
                 *b.partition1(&db, l, AttrId(1)),
                 StrippedPartition::for_attribute(db.table(l), AttrId(1))
             );
+            assert_eq!(b.exec_stats().fallback_failures, 0);
         }
+        // One-page columns stay resident: no spill file, no pool
+        // traffic (multi_page_columns_stream_correctly covers both).
+        let col = paged.column(&db, l, AttrId(0)).unwrap();
+        assert!(
+            matches!(*col, Column::Resident(_)),
+            "a one-page column must stay resident"
+        );
+        let stats = paged.page_stats();
+        assert_eq!(
+            stats.hits + stats.misses,
+            0,
+            "resident pages bypass the pool"
+        );
     }
 
-    /// The encoded backend's internal caches are generation-aware: a
-    /// mutation is visible on the very next probe.
+    /// The coded backend's caches are generation-aware under both
+    /// residencies: a mutation re-encodes the column and is visible on
+    /// the very next probe.
     #[test]
     fn encoded_cache_invalidates_on_mutation() {
-        let (mut db, l, _) = sample_db();
-        let encoded = EncodedBackend::new();
-        assert_eq!(encoded.count_distinct(&db, l, &[AttrId(0)]), 4);
-        db.insert(l, vec![Value::Int(99), Value::Int(1)]).unwrap();
-        assert_eq!(encoded.count_distinct(&db, l, &[AttrId(0)]), 5);
+        fn check<R: Residency>(backend: CodedBackend<R>) {
+            let (mut db, l, _) = sample_db();
+            assert_eq!(backend.count_distinct(&db, l, &[AttrId(0)]), 4);
+            let old = backend.column(&db, l, AttrId(0)).unwrap();
+            db.insert(l, vec![Value::Int(99), Value::Int(1)]).unwrap();
+            assert_eq!(
+                backend.count_distinct(&db, l, &[AttrId(0)]),
+                5,
+                "{}",
+                R::NAME
+            );
+            let new = backend.column(&db, l, AttrId(0)).unwrap();
+            assert!(
+                !Arc::ptr_eq(&old, &new),
+                "mutation must re-encode the column"
+            );
+        }
+        check(EncodedBackend::new());
+        check(PagedBackend::new());
     }
 
     /// A thread that panics while holding a cache write guard poisons
@@ -747,7 +1152,7 @@ mod tests {
         let gen = db.generation(l);
         std::thread::scope(|s| {
             let handle = s.spawn(|| {
-                let mut guard = encoded.encoded.write().unwrap();
+                let mut guard = encoded.sets.write().unwrap();
                 guard.insert(
                     (l, vec![AttrId(0)]),
                     Tagged {
@@ -759,11 +1164,11 @@ mod tests {
             });
             assert!(handle.join().is_err(), "the planting thread must panic");
         });
-        assert!(encoded.encoded.is_poisoned(), "lock must be poisoned");
+        assert!(encoded.sets.is_poisoned(), "lock must be poisoned");
         // Recovery path: the shard is purged, the probe recomputes.
         assert_eq!(encoded.count_distinct(&db, l, &[AttrId(0)]), 4);
         assert!(
-            !encoded.encoded.is_poisoned(),
+            !encoded.sets.is_poisoned(),
             "recovery must clear the poison flag so later probes see a healthy cache"
         );
     }
@@ -778,5 +1183,305 @@ mod tests {
             encoded.count_distinct(&db, l, &[AttrId(0), AttrId(1)]),
             ReferenceBackend.count_distinct(&db, l, &[AttrId(0), AttrId(1)])
         );
+    }
+
+    /// Under the pooled residency a column longer than one page is
+    /// spilled; carried across an append and a delete it answers
+    /// exactly like a cold backend, and the pages of its stale spill
+    /// file are gone from the pool. A resident column that grows past
+    /// one page is spilled by the same rule.
+    #[test]
+    fn pooled_delta_matches_cold_and_purges_stale_pages() {
+        let (x, y) = (AttrId(0), AttrId(1));
+        let mut db = Database::new();
+        let spec = [("x", Domain::Int), ("y", Domain::Int)];
+        let big = db.add_relation(Relation::of("T", &spec)).unwrap();
+        let small = db.add_relation(Relation::of("S", &spec)).unwrap();
+        for i in 0..PAGE_CODES as i64 + 40 {
+            let v = if i % 97 == 0 {
+                Value::Null
+            } else {
+                Value::Int(i % 700)
+            };
+            db.insert(big, vec![v, Value::Int(i % 13)]).unwrap();
+        }
+        for i in 0..PAGE_CODES as i64 {
+            db.insert(small, vec![Value::Int(i), Value::Int(i % 5)])
+                .unwrap();
+        }
+        let answers = |b: &PagedBackend, db: &Database, rel: RelId| {
+            (
+                b.count_distinct(db, rel, &[x]),
+                b.count_distinct(db, rel, &[x, y]),
+                (*b.lhs_groups(db, rel, &[y])).clone(),
+                (*b.partition1(db, rel, x)).clone(),
+                b.column_dict(db, rel, x).map(|d| d.codes().to_vec()),
+            )
+        };
+        let spilled = |b: &PagedBackend, db: &Database, rel: RelId| {
+            matches!(*b.column(db, rel, x).unwrap(), Column::Spilled { .. })
+        };
+        let paged = PagedBackend::new();
+        answers(&paged, &db, big);
+        answers(&paged, &db, small);
+        assert!(spilled(&paged, &db, big) && !spilled(&paged, &db, small));
+        assert!(paged.pool().resident_pages() > 0);
+
+        let deltas = [
+            (
+                big,
+                Delta::Append {
+                    rel: big,
+                    rows: vec![
+                        vec![Value::Int(9999), Value::Null],
+                        vec![Value::Int(1), Value::Int(2)],
+                    ],
+                },
+            ),
+            (
+                big,
+                Delta::Delete {
+                    rel: big,
+                    rows: vec![0, 5, PAGE_CODES],
+                },
+            ),
+            (
+                small,
+                Delta::Append {
+                    rel: small,
+                    rows: vec![vec![Value::Int(-1), Value::Int(0)]],
+                },
+            ),
+        ];
+        for (rel, delta) in deltas {
+            // Only `big` has pages in the pool: they are stale after a
+            // delta on `big`, and must survive one on `small`.
+            let live = if rel == big {
+                0
+            } else {
+                paged.pool().resident_pages()
+            };
+            let mut after = db.clone();
+            after.apply_delta(&delta).unwrap();
+            paged.apply_delta(&db, &after, &delta);
+            db = after;
+            assert_eq!(paged.pool().resident_pages(), live, "stale pages purged");
+            assert_eq!(
+                answers(&paged, &db, rel),
+                answers(&PagedBackend::new(), &db, rel)
+            );
+            assert!(spilled(&paged, &db, rel), "past one page the column spills");
+        }
+        assert_eq!(paged.exec_stats().fallback_failures, 0);
+    }
+
+    #[test]
+    fn column_dict_rehydrates_full_codes() {
+        let (db, l, _) = sample_db();
+        let paged = PagedBackend::new();
+        let dict = CountBackend::column_dict(&paged, &db, l, AttrId(0)).unwrap();
+        let direct = ColumnDict::build(db.table(l).column(AttrId(0)));
+        assert_eq!(dict.codes(), direct.codes());
+        assert_eq!(dict.cardinality(), direct.cardinality());
+        assert_eq!(dict.null_count(), direct.null_count());
+    }
+
+    #[test]
+    fn multi_page_columns_stream_correctly() {
+        // Enough rows for several pages, with NULLs and duplicates.
+        let mut db = Database::new();
+        let rel = db
+            .add_relation(Relation::of("T", &[("x", Domain::Int), ("y", Domain::Int)]))
+            .unwrap();
+        let rows = PAGE_CODES * 2 + 123;
+        for i in 0..rows {
+            let x = if i % 97 == 0 {
+                Value::Null
+            } else {
+                Value::Int((i % 1009) as i64)
+            };
+            db.insert(rel, vec![x, Value::Int((i % 31) as i64)])
+                .unwrap();
+        }
+        let reference = ReferenceBackend;
+        let paged = PagedBackend::with_capacity_bytes(PAGE_BYTES); // 1-page pool: constant churn
+        for attrs in [vec![AttrId(0)], vec![AttrId(1)], vec![AttrId(0), AttrId(1)]] {
+            assert_eq!(
+                paged.count_distinct(&db, rel, &attrs),
+                reference.count_distinct(&db, rel, &attrs),
+                "{attrs:?}"
+            );
+        }
+        assert_eq!(
+            *paged.lhs_groups(&db, rel, &[AttrId(1)]),
+            *reference.lhs_groups(&db, rel, &[AttrId(1)])
+        );
+        assert_eq!(
+            *paged.partition1(&db, rel, AttrId(0)),
+            *reference.partition1(&db, rel, AttrId(0))
+        );
+        assert!(paged.page_stats().evictions > 0, "1-page pool must churn");
+        let col = paged.column(&db, rel, AttrId(0)).unwrap();
+        assert!(
+            matches!(*col, Column::Spilled { .. }),
+            "a multi-page column must be spilled"
+        );
+        assert_eq!(paged.exec_stats().fallback_failures, 0);
+    }
+
+    #[test]
+    fn fd_holds_matches_reference() {
+        // Multi-page table where some FDs hold and some fail, with
+        // NULL-heavy LHS columns (NULL-LHS rows are exempt per the
+        // paper's SQL probe semantics).
+        let mut db = Database::new();
+        let rel = db
+            .add_relation(Relation::of(
+                "T",
+                &[
+                    ("a", Domain::Int),
+                    ("b", Domain::Int),
+                    ("c", Domain::Int),
+                    ("k", Domain::Int),
+                ],
+            ))
+            .unwrap();
+        let rows = PAGE_CODES + 517;
+        for i in 0..rows as i64 {
+            let a = if i % 13 == 0 {
+                Value::Null
+            } else {
+                Value::Int(i % 200)
+            };
+            // b is a function of a's code (holds), c is noisy (fails).
+            let b = Value::Int((i % 200) * 3);
+            let c = Value::Int(i % 7);
+            db.insert(rel, vec![a, b, c, Value::Int(i)]).unwrap();
+        }
+        let paged = PagedBackend::with_capacity_bytes(PAGE_BYTES);
+        let fd = |lhs: &[u16], rhs: &[u16]| Fd {
+            rel,
+            lhs: crate::attr::AttrSet::from_indices(lhs.iter().copied()),
+            rhs: crate::attr::AttrSet::from_indices(rhs.iter().copied()),
+        };
+        for (lhs, rhs) in [
+            (&[0u16][..], &[1u16][..]), // a → b: holds (NULL-a rows exempt)
+            (&[0], &[2]),               // a → c: fails
+            (&[1], &[0]),               // b → a: fails (NULL vs non-NULL under same b)
+            (&[0, 2], &[1]),            // ac → b: holds
+            (&[0, 1], &[2]),            // ab → c: fails
+            (&[3], &[0, 1, 2]),         // key → everything: holds
+            (&[], &[1]),                // {} → b: fails (b not constant)
+            (&[0], &[1, 2]),            // multi-RHS: fails because of c
+        ] {
+            let fd = fd(lhs, rhs);
+            assert_eq!(
+                CountBackend::fd_holds(&paged, &db, &fd),
+                db.fd_holds(&fd),
+                "lhs={lhs:?} rhs={rhs:?}"
+            );
+        }
+        // Constant RHS: {} → const holds without a scan.
+        let mut db2 = Database::new();
+        let r2 = db2
+            .add_relation(Relation::of("C", &[("u", Domain::Int), ("v", Domain::Int)]))
+            .unwrap();
+        for i in 0..10 {
+            db2.insert(r2, vec![Value::Int(i), Value::Int(7)]).unwrap();
+        }
+        let fd2 = Fd {
+            rel: r2,
+            lhs: crate::attr::AttrSet::empty(),
+            rhs: crate::attr::AttrSet::from_indices([1u16]),
+        };
+        assert!(CountBackend::fd_holds(&paged, &db2, &fd2));
+        assert!(db2.fd_holds(&fd2));
+        assert_eq!(paged.exec_stats().fallback_failures, 0);
+    }
+
+    #[test]
+    fn adopt_spilled_serves_streamed_extension() {
+        // A materialized twin provides the expected answers; the
+        // streamed database never holds the values in memory.
+        let mut twin = Database::new();
+        let spec = [("x", Domain::Int), ("y", Domain::Text)];
+        let trel = twin.add_relation(Relation::of("S", &spec)).unwrap();
+        let rows = PAGE_CODES + 77;
+        for i in 0..rows {
+            let x = if i % 11 == 0 {
+                Value::Null
+            } else {
+                Value::Int((i % 301) as i64)
+            };
+            twin.insert(trel, vec![x, Value::str(format!("s{}", i % 40))])
+                .unwrap();
+        }
+
+        // Spill the twin's columns by hand, as streaming ingest would.
+        let mut cols = Vec::new();
+        for a in [AttrId(0), AttrId(1)] {
+            let dict = ColumnDict::build(twin.table(trel).column(a));
+            let file = PageFile::spill(dict.codes()).unwrap();
+            cols.push(Arc::new(PagedColumn::new(Arc::new(dict.slim()), file)));
+        }
+        let spilled = crate::spill::SpilledTable::new(cols, rows, true);
+
+        let mut db = Database::new();
+        let rel = db.add_relation(Relation::of("S", &spec)).unwrap();
+        db.set_streamed_extension(rel, rows);
+        assert!(!db.table(rel).is_materialized());
+
+        let paged = PagedBackend::new();
+        paged.adopt_spilled(&db, rel, &spilled);
+        assert_eq!(
+            paged.spill_stats(),
+            crate::spill::SpillCacheStats { hits: 1, misses: 0 }
+        );
+
+        let reference = ReferenceBackend;
+        for attrs in [vec![AttrId(0)], vec![AttrId(1)], vec![AttrId(0), AttrId(1)]] {
+            assert_eq!(
+                paged.count_distinct(&db, rel, &attrs),
+                reference.count_distinct(&twin, trel, &attrs),
+                "{attrs:?}"
+            );
+        }
+        assert_eq!(
+            *paged.lhs_groups(&db, rel, &[AttrId(0)]),
+            *reference.lhs_groups(&twin, trel, &[AttrId(0)])
+        );
+        let fd = Fd {
+            rel,
+            lhs: crate::attr::AttrSet::from_indices([0u16]),
+            rhs: crate::attr::AttrSet::from_indices([1u16]),
+        };
+        let tfd = Fd {
+            rel: trel,
+            ..fd.clone()
+        };
+        assert_eq!(
+            CountBackend::fd_holds(&paged, &db, &fd),
+            twin.fd_holds(&tfd)
+        );
+        // The slim dictionaries still answer column_dict (rehydrated).
+        let dict = CountBackend::column_dict(&paged, &db, rel, AttrId(0)).unwrap();
+        let direct = ColumnDict::build(twin.table(trel).column(AttrId(0)));
+        assert_eq!(dict.codes(), direct.codes());
+        assert_eq!(paged.exec_stats().fallback_failures, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "streamed extension")]
+    fn streamed_extension_without_adoption_dies_instead_of_lying() {
+        // Without adopt_spilled there are no pages AND no in-memory
+        // values: the reference fallback would silently answer from an
+        // empty column. The backend must refuse.
+        let mut db = Database::new();
+        let rel = db
+            .add_relation(Relation::of("V", &[("x", Domain::Int)]))
+            .unwrap();
+        db.set_streamed_extension(rel, 5);
+        let paged = PagedBackend::new();
+        let _ = paged.count_distinct(&db, rel, &[AttrId(0)]);
     }
 }

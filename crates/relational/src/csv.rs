@@ -507,7 +507,7 @@ pub fn import_csv_spilled(
                 // Unwind: the finished PagedColumns for cache entries
                 // are durable files; remove them alongside the
                 // unfinished writers.
-                for file in columns.iter().filter_map(|c| c.file()) {
+                for file in columns.iter().map(|c| c.file()) {
                     let _ = std::fs::remove_file(file.path());
                 }
                 cleanup(writers_iter.collect());
@@ -873,7 +873,7 @@ mod tests {
             assert_eq!(col.dict().code_counts(), direct.code_counts(), "col {i}");
             let twin = PageFile::spill(direct.codes()).unwrap();
             assert_eq!(
-                std::fs::read(col.file().unwrap().path()).unwrap(),
+                std::fs::read(col.file().path()).unwrap(),
                 std::fs::read(twin.path()).unwrap(),
                 "col {i} pages"
             );

@@ -15,15 +15,15 @@
 //!
 //! The unit of encoding is the **column** ([`ColumnDict`]), not the
 //! table: a probe that touches two attributes of a 13-column relation
-//! pays for exactly two dictionary builds. The five row-scanning
+//! pays for exactly two dictionary builds. The four row-scanning
 //! counting kernels live in [`crate::kernels`], written once over a
 //! code source that an in-RAM `ColumnDict` and a spilled
-//! [`crate::pages::PagedColumn`] both implement. What stays here reads
+//! [`crate::pages::PagedSource`] both implement. What stays here reads
 //! only the dictionaries or random rows: [`decode_set_cols`],
 //! [`code_translation`] and [`intersect_count`] (join cardinalities),
 //! and the g3/Restruct kernels ([`plurality_cols`],
 //! [`first_rows_cols`], [`decode_rows_cols`], [`non_null_rows_cols`]).
-//! [`DictTable`] bundles one `Arc<ColumnDict>` per attribute for
+//! [`DictTable`] bundles one `ColumnDict` per attribute for
 //! whole-table consumers (TANE, SPIDER, key discovery).
 //!
 //! Consequences of the encoding:
@@ -724,9 +724,7 @@ pub fn decode_rows_cols(cols: &[&ColumnDict], rows: &[usize]) -> Result<Table, R
     )
 }
 
-/// A fully dictionary-encoded table: one shared [`ColumnDict`] per
-/// attribute (cheap to assemble from per-column caches — see
-/// [`crate::backend::EncodedBackend::dict`]).
+/// A fully dictionary-encoded table: one [`ColumnDict`] per attribute.
 ///
 /// Immutable and `Sync` after construction, so parallel workers share
 /// the codes read-only. Whole-table consumers (TANE, SPIDER, key
@@ -734,7 +732,7 @@ pub fn decode_rows_cols(cols: &[&ColumnDict], rows: &[usize]) -> Result<Table, R
 /// [`crate::kernels`] over the column dictionaries directly.
 #[derive(Debug, Clone, Default)]
 pub struct DictTable {
-    columns: Vec<Arc<ColumnDict>>,
+    columns: Vec<ColumnDict>,
     rows: usize,
 }
 
@@ -742,19 +740,12 @@ impl DictTable {
     /// Encodes every column of `table`. One pass per column.
     pub fn build(table: &Table) -> Self {
         let columns = (0..table.arity())
-            .map(|i| Arc::new(ColumnDict::build(table.column(AttrId(i as u16)))))
+            .map(|i| ColumnDict::build(table.column(AttrId(i as u16))))
             .collect();
         DictTable {
             columns,
             rows: table.len(),
         }
-    }
-
-    /// Assembles a table view from already-built column dictionaries
-    /// (all encoding the same `rows`-row table, in attribute order).
-    pub fn from_columns(columns: Vec<Arc<ColumnDict>>, rows: usize) -> Self {
-        debug_assert!(columns.iter().all(|c| c.rows() == rows));
-        DictTable { columns, rows }
     }
 
     /// Number of rows of the encoded table.
@@ -772,7 +763,7 @@ impl DictTable {
     /// One column's dictionary.
     #[inline]
     pub fn column(&self, attr: AttrId) -> &ColumnDict {
-        self.columns[attr.index()].as_ref()
+        &self.columns[attr.index()]
     }
 
     /// Unary stripped partition (`NULL = NULL`); see
@@ -1082,22 +1073,5 @@ mod tests {
             Some(sketch.as_ref()),
             "preseeded sketch equals a fresh build"
         );
-    }
-
-    #[test]
-    fn from_columns_matches_whole_table_build() {
-        let t = sample();
-        let built = DictTable::build(&t);
-        let assembled = DictTable::from_columns(
-            (0..t.arity())
-                .map(|i| Arc::new(ColumnDict::build(t.column(a(i as u16)))))
-                .collect(),
-            t.len(),
-        );
-        assert_eq!(assembled.rows(), built.rows());
-        assert_eq!(assembled.arity(), built.arity());
-        for i in 0..t.arity() {
-            assert_eq!(assembled.column(a(i as u16)), built.column(a(i as u16)));
-        }
     }
 }

@@ -1,8 +1,8 @@
-//! The five counting kernels behind the paper's `‖·‖` primitive,
+//! The four counting kernels behind the paper's `‖·‖` primitive,
 //! written once over a [`CodeSource`].
 //!
 //! Every statistic the discovery stages consume reduces to one of
-//! [`count_distinct`], [`distinct_codes`], [`lhs_groups`],
+//! [`distinct_codes`] (whose length is `‖r[X]‖`), [`lhs_groups`],
 //! [`partition1`] and [`fd_holds`] over dictionary codes (NULL = 0, see
 //! [`crate::encode`]). A code source exposes two things: the column's
 //! dictionary metadata (cardinality, NULL count, fused per-code
@@ -10,8 +10,10 @@
 //! in-RAM [`ColumnDict`] hands out borrowed slices of its code vector
 //! and cannot fail (its error type is [`Infallible`], so callers
 //! destructure `let Ok(x) = …`); a spilled column
-//! ([`crate::pages::PagedSource`]) pins pages through the buffer pool
-//! and reports [`crate::pages::PageError`].
+//! ([`crate::pages::PagedSource`]) pins pages through the buffer pool,
+//! reports [`crate::pages::PageError`], and is the only kind whose
+//! reads [block](CodeSource::blocking). The coded backend's column
+//! cache entries are sources of either kind.
 //!
 //! Both kinds run through one page-slice scan: the pages are split
 //! into contiguous chunks (`page_chunks`), each chunk streams its
@@ -48,9 +50,13 @@ pub trait CodeSource: Copy + Sync {
     type Page: Deref<Target: AsRef<[u32]>> + Send;
     /// How reading a page can fail.
     type Error: Send;
+
     /// Whether fetching a page can block on I/O, so that a reader
-    /// thread running ahead of the kernel pays off.
-    const BLOCKING: bool;
+    /// thread running ahead of the kernel pays off. In-RAM codes never
+    /// block.
+    fn blocking(&self) -> bool {
+        false
+    }
 
     /// The column's dictionary: the kernels read its cardinality,
     /// NULL count and fused per-code counts, never its codes.
@@ -64,7 +70,6 @@ pub trait CodeSource: Copy + Sync {
 impl<'a> CodeSource for &'a ColumnDict {
     type Page = &'a [u32];
     type Error = Infallible;
-    const BLOCKING: bool = false;
 
     fn dict(&self) -> &ColumnDict {
         self
@@ -179,18 +184,18 @@ const PREFETCH_DEPTH: usize = 2;
 /// Streams `range`'s pages over `cols` in lockstep, calling
 /// `f(base_row, slices)` once per page in order.
 ///
-/// Under the `parallel` feature a reader thread fetches blocking pages
-/// ahead of the consumer (bounded by [`PREFETCH_DEPTH`]), overlapping
-/// page I/O with kernel compute. Pages are still requested and
-/// delivered strictly in order, so results and pool counters are
-/// identical to the plain loop.
+/// Under the `parallel` feature, when a column's reads can block, a
+/// reader thread fetches pages ahead of the consumer (bounded by
+/// [`PREFETCH_DEPTH`]), overlapping page I/O with kernel compute.
+/// Pages are still requested and delivered strictly in order, so
+/// results and pool counters are identical to the plain loop.
 fn stream_page_range<S, F>(cols: &[S], range: Range<usize>, mut f: F) -> Result<(), S::Error>
 where
     S: CodeSource,
     F: FnMut(usize, &[&[u32]]),
 {
     #[cfg(feature = "parallel")]
-    if S::BLOCKING && range.len() > 1 {
+    if range.len() > 1 && cols.iter().any(CodeSource::blocking) {
         return std::thread::scope(|scope| {
             let (tx, rx) = std::sync::mpsc::sync_channel(PREFETCH_DEPTH);
             let reader = range.clone();
@@ -347,54 +352,6 @@ fn read_key(key: &mut [u32], slices: &[&[u32]], i: usize) -> bool {
         }
     }
     true
-}
-
-/// `‖r[cols]‖` under SQL semantics (rows with a NULL among the
-/// projection dropped) — the paper's cardinality query, matching
-/// [`crate::table::Table::count_distinct`]. Unary counts are the
-/// dictionary cardinality; a pair whose code-domain product is small
-/// counts in a dense bitset instead of a hash set.
-pub fn count_distinct<S: CodeSource>(cols: &[S], rows: usize) -> Result<usize, S::Error> {
-    count_distinct_in(paged_threads(), cols, rows)
-}
-
-fn count_distinct_in<S: CodeSource>(
-    threads: usize,
-    cols: &[S],
-    rows: usize,
-) -> Result<usize, S::Error> {
-    /// 512 KiB of bits.
-    const BITSET_MAX: u64 = 1 << 22;
-    match cols {
-        [c] => Ok(c.dict().cardinality()),
-        [ca, cb] => {
-            let width = cb.dict().cardinality() as u64;
-            let domain = ca.dict().cardinality() as u64 * width;
-            if domain == 0 || domain > BITSET_MAX {
-                return Ok(distinct_codes_in(threads, cols, rows)?.len());
-            }
-            let words = (domain as usize).div_ceil(64);
-            let parts = run_chunks(&page_chunks(rows, threads), |r| {
-                let mut bits = vec![0u64; words];
-                stream_page_range(cols, r, |_, slices| {
-                    for (&x, &y) in slices[0].iter().zip(slices[1]) {
-                        if x != NULL_CODE && y != NULL_CODE {
-                            let idx = (u64::from(x) - 1) * width + (u64::from(y) - 1);
-                            bits[(idx / 64) as usize] |= 1u64 << (idx % 64);
-                        }
-                    }
-                })?;
-                Ok(bits)
-            });
-            let bits = merge_parts(parts, |acc: &mut Vec<u64>, part| {
-                for (a, b) in acc.iter_mut().zip(part) {
-                    *a |= b;
-                }
-            })?;
-            Ok(bits.iter().map(|w| w.count_ones() as usize).sum())
-        }
-        _ => Ok(distinct_codes_in(threads, cols, rows)?.len()),
-    }
 }
 
 /// The distinct non-NULL projected code tuples (SQL semantics) —
@@ -721,7 +678,6 @@ mod tests {
     /// Every kernel answer the chunking could disturb.
     #[derive(Debug, PartialEq)]
     struct Answers {
-        counts: Vec<usize>,
         sets: Vec<HashSet<ProjKey>>,
         groups: Vec<Vec<Vec<usize>>>,
         partition: StrippedPartition,
@@ -741,7 +697,6 @@ mod tests {
     ) -> Result<Answers, S::Error> {
         let proj = |ix: &[usize]| -> Vec<S> { ix.iter().map(|&i| cols[i]).collect() };
         let mut out = Answers {
-            counts: Vec::new(),
             sets: Vec::new(),
             groups: Vec::new(),
             partition: partition1_in(threads, cols[0], rows)?,
@@ -749,7 +704,6 @@ mod tests {
         };
         for ix in PROJECTIONS {
             let p = proj(ix);
-            out.counts.push(count_distinct_in(threads, &p, rows)?);
             let set = distinct_codes_in(threads, &p, rows)?;
             let dicts: Vec<&ColumnDict> = p.iter().map(|c| c.dict()).collect();
             out.sets.push(decode_set_cols(&dicts, &set));
@@ -787,7 +741,6 @@ mod tests {
         let attrs = |ix: &[usize]| -> Vec<AttrId> { ix.iter().map(|&i| a(i as u16)).collect() };
         let reference = ReferenceBackend;
         let mut expected = Answers {
-            counts: Vec::new(),
             sets: Vec::new(),
             groups: Vec::new(),
             partition: StrippedPartition::for_attribute(table, a(0)),
@@ -795,9 +748,6 @@ mod tests {
         };
         for ix in PROJECTIONS {
             let at = attrs(ix);
-            expected
-                .counts
-                .push(reference.count_distinct(&db, rel, &at));
             expected.sets.push(table.distinct_projection(&at));
             expected
                 .groups

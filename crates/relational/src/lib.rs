@@ -54,7 +54,7 @@ pub mod table;
 pub mod value;
 
 pub use attr::{AttrId, AttrSet, Attribute};
-pub use backend::{BackendExecStats, CountBackend, EncodedBackend, ReferenceBackend};
+pub use backend::{BackendExecStats, CountBackend, EncodedBackend, PagedBackend, ReferenceBackend};
 pub use bufpool::{BufferPool, PageCacheStats};
 pub use counting::{join_stats, EquiJoin, JoinStats};
 pub use csv::CsvError;
@@ -64,7 +64,7 @@ pub use deps::{Constraints, Dependencies, Fd, Ind, IndSide, Key};
 pub use encode::{ColumnDict, DictBuilder, DictTable, EncodedSet};
 pub use error::{DbreError, RelationalError};
 pub use fasthash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use pages::{PageError, PageFileWriter, PagedBackend, PagedColumn};
+pub use pages::{PageError, PageFileWriter, PagedColumn};
 pub use par::par_map;
 pub use partitions::StrippedPartition;
 pub use schema::{QualAttrs, RelId, Relation, Schema};

@@ -1,55 +1,39 @@
 //! The paged columnar store: dictionary codes on disk, read page by
 //! page through a shared buffer pool.
 //!
-//! The in-memory backends cap the extension at what fits in RAM; the
+//! The resident backend caps the extension at what fits in RAM; the
 //! paper's target — 100M-row legacy databases — does not. This module
-//! keeps each encoded column's per-row `u32` codes (NULL = 0, exactly
-//! the [`crate::encode::ColumnDict`] code space) in a spill file of
-//! fixed [`PAGE_BYTES`] pages behind a small header, while the
-//! *dictionary* halves (decode table, encode index, NULL count, fused
-//! per-code counts) stay resident as a codes-free [`ColumnDict::slim`]
-//! copy. (A column encoded from memory that fits in one page stays
-//! resident whole: its own spill file would cost more than it saves.)
+//! keeps a column's per-row `u32` codes (NULL = 0, exactly the
+//! [`crate::encode::ColumnDict`] code space) in a spill file of fixed
+//! [`PAGE_BYTES`] pages behind a small header ([`PageFile`], written
+//! whole or streamed by [`PageFileWriter`]), while the *dictionary*
+//! halves (decode table, encode index, NULL count, fused per-code
+//! counts) stay resident as a codes-free [`ColumnDict::slim`] copy. The
+//! pair is a [`PagedColumn`].
 //!
-//! A spilled column plus its [`BufferPool`] is a [`PagedSource`], one
-//! of the two [`CodeSource`]s the single set of counting kernels in
-//! [`crate::kernels`] runs over — the other is an in-RAM `ColumnDict`.
-//! The kernels pin one page per column at a time, so the resident
-//! working set is bounded by the pool capacity, not the extension
-//! size. Cross-column kernels that never touch per-row codes —
-//! [`crate::encode::intersect_count`], [`crate::encode::code_translation`],
+//! A spilled column plus its [`BufferPool`] is a [`PagedSource`], a
+//! [`CodeSource`] the single set of counting kernels in
+//! [`crate::kernels`] runs over. The kernels pin one page per column at
+//! a time, so the resident working set is bounded by the pool capacity,
+//! not the extension size. Cross-column kernels that never touch
+//! per-row codes — [`crate::encode::intersect_count`],
+//! [`crate::encode::code_translation`],
 //! [`crate::encode::decode_set_cols`] — run on the slim dictionaries
 //! unchanged.
 //!
-//! [`PagedBackend`] packages the store as the fourth
-//! `BackendChoice`: spill-on-encode from the same generation-tagged
-//! dictionary build the encoded backend performs, invalidation by
-//! eviction ([`BufferPool::evict_file`]) when a table mutates, and a
-//! reference fallback (counted in
-//! [`BackendExecStats::fallback_failures`]) if a spill file ever
-//! fails — an I/O error degrades a probe to the slow path, never to a
-//! wrong answer or a panic.
+//! Which columns spill is decided by the coded backend's pooled
+//! residency ([`crate::backend::PagedBackend`]): a column encoded from
+//! memory spills when it is longer than one page, and streamed-ingest
+//! columns ([`crate::spill`]) arrive already spilled.
 
-use crate::attr::AttrId;
-use crate::backend::{lhs_groups_reference, read_recover, write_recover, Tagged};
-use crate::backend::{BackendExecStats, CountBackend};
-use crate::bufpool::{BufferPool, PageCacheStats, PageKey};
-use crate::counting::{join_stats, EquiJoin, JoinStats};
-use crate::database::Database;
-use crate::deps::Fd;
-use crate::encode::{decode_set_cols, intersect_count, ColumnDict};
-use crate::kernels::{self, CodeSource};
-use crate::partitions::StrippedPartition;
-use crate::schema::RelId;
-use crate::sketch::ColumnSketch;
-use crate::spill::{SpillCacheStats, SpilledTable};
-use crate::table::ProjKey;
-use std::collections::{HashMap, HashSet};
+use crate::bufpool::{BufferPool, PageKey};
+use crate::encode::ColumnDict;
+use crate::kernels::CodeSource;
 use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 
 /// Size of one on-disk code page in bytes (64 KiB).
 pub const PAGE_BYTES: usize = 64 * 1024;
@@ -473,125 +457,65 @@ impl PageFileWriter {
     }
 }
 
-/// One column of the paged store: the resident dictionary plus the
-/// code pages.
+/// One spilled column: the resident slim dictionary plus its code
+/// pages on disk.
 #[derive(Debug)]
 pub struct PagedColumn {
-    /// Decode/encode tables and NULL count. Codes-free
-    /// ([`ColumnDict::slim`]) for a spilled column; the full
-    /// dictionary for a resident one, whose codes are one page anyway.
+    /// Decode/encode tables, NULL count and per-code counts, without
+    /// the per-row codes ([`ColumnDict::slim`]).
     dict: Arc<ColumnDict>,
-    rows: usize,
-    pages: PageSource,
-}
-
-/// Where a [`PagedColumn`]'s code pages live.
-#[derive(Debug)]
-enum PageSource {
-    /// A spill file, read page by page through the buffer pool.
-    File(PageFile),
-    /// The whole column as one in-memory page. An encode from memory
-    /// keeps a column of at most [`PAGE_CODES`] rows here: it is no
-    /// larger than the pool page a spill would be read back into, and
-    /// a spill file per small column (create, write, reopen, unlink)
-    /// costs more than every scan of it.
-    Resident(Arc<Vec<u32>>),
+    file: PageFile,
 }
 
 impl PagedColumn {
-    /// Moves a fully built dictionary into the paged store. A column
-    /// of at most one page stays resident, dictionary and all; a
-    /// longer one is spilled to disk and keeps only the slim half.
-    pub fn from_dict(full: ColumnDict) -> Result<PagedColumn, PageError> {
-        let rows = full.rows();
-        if rows <= PAGE_CODES {
-            let page = Arc::new(full.codes().to_vec());
-            return Ok(PagedColumn {
-                dict: Arc::new(full),
-                rows,
-                pages: PageSource::Resident(page),
-            });
-        }
-        let file = PageFile::spill(full.codes())?;
-        Ok(PagedColumn {
-            dict: Arc::new(full.slim()),
-            rows,
-            pages: PageSource::File(file),
-        })
-    }
-
-    /// Wraps an already-written spill file and its slim dictionary —
-    /// the spill-cache load and streaming-ingest paths
-    /// ([`crate::spill`], `import_csv_spilled`); [`from_dict`]
-    /// remains the encode-from-memory path.
-    ///
-    /// [`from_dict`]: PagedColumn::from_dict
+    /// Pairs a spill file with the slim dictionary of the codes it
+    /// holds.
     pub fn new(dict: Arc<ColumnDict>, file: PageFile) -> PagedColumn {
-        PagedColumn {
-            rows: file.rows() as usize,
-            dict,
-            pages: PageSource::File(file),
-        }
+        PagedColumn { dict, file }
     }
 
-    /// The resident dictionary (slim unless the column is resident).
+    /// The resident slim dictionary.
     pub fn dict(&self) -> &Arc<ColumnDict> {
         &self.dict
     }
 
     /// Rows the column encodes.
     pub fn rows(&self) -> usize {
-        self.rows
+        self.file.rows() as usize
     }
 
-    /// The spill file, or `None` for a column kept resident.
-    pub fn file(&self) -> Option<&PageFile> {
-        match &self.pages {
-            PageSource::File(file) => Some(file),
-            PageSource::Resident(_) => None,
-        }
+    /// The spill file holding the codes.
+    pub fn file(&self) -> &PageFile {
+        &self.file
     }
 
-    /// One page of codes: through the pool from the spill file, or
-    /// the resident page itself.
+    /// One page of codes, read through `pool`.
     pub fn page(&self, pool: &BufferPool, page: u32) -> Result<Arc<Vec<u32>>, PageError> {
-        match &self.pages {
-            PageSource::File(file) => pool.get_or_load(
-                PageKey {
-                    file: file.id,
-                    page,
-                },
-                || file.read_page(page),
-            ),
-            PageSource::Resident(codes) if page == 0 => Ok(Arc::clone(codes)),
-            PageSource::Resident(_) => Err(PageError::PageOutOfBounds { page, pages: 1 }),
-        }
+        pool.get_or_load(
+            PageKey {
+                file: self.file.id,
+                page,
+            },
+            || self.file.read_page(page),
+        )
     }
 
     /// Rehydrates the full per-row code vector by streaming every
     /// page — the bridge for consumers that need random access
     /// (`column_dict()` for the coded kernels).
     pub fn read_all_codes(&self, pool: &BufferPool) -> Result<Vec<u32>, PageError> {
-        let mut codes = Vec::with_capacity(self.rows);
-        for p in 0..self.rows.div_ceil(PAGE_CODES) {
-            codes.extend_from_slice(&self.page(pool, p as u32)?);
+        let mut codes = Vec::with_capacity(self.rows());
+        for p in 0..self.file.pages {
+            codes.extend_from_slice(&self.page(pool, p)?);
         }
         Ok(codes)
     }
-
-    /// Purges the column's cached pages from `pool` (a resident
-    /// column has none there).
-    fn evict(&self, pool: &BufferPool) {
-        if let PageSource::File(file) = &self.pages {
-            pool.evict_file(file.id);
-        }
-    }
 }
 
-/// A spilled column read through a buffer pool: the
-/// [`CodeSource`] the paged backend hands to the [`crate::kernels`].
-/// Pages are pinned `Arc`s, so a capacity-1 pool evicting under a
-/// multi-column scan is slow but never wrong.
+/// A spilled column read through a buffer pool — the [`CodeSource`]
+/// the [`crate::kernels`] scan for it. Pages are pinned `Arc`s, so a
+/// capacity-1 pool evicting under a multi-column scan is slow but
+/// never wrong.
 #[derive(Debug, Clone, Copy)]
 pub struct PagedSource<'a> {
     col: &'a PagedColumn,
@@ -608,7 +532,10 @@ impl<'a> PagedSource<'a> {
 impl CodeSource for PagedSource<'_> {
     type Page = Arc<Vec<u32>>;
     type Error = PageError;
-    const BLOCKING: bool = true;
+
+    fn blocking(&self) -> bool {
+        true
+    }
 
     fn dict(&self) -> &ColumnDict {
         &self.col.dict
@@ -617,409 +544,15 @@ impl CodeSource for PagedSource<'_> {
     fn page(&self, page: usize) -> Result<Arc<Vec<u32>>, PageError> {
         let page = u32::try_from(page).map_err(|_| PageError::PageOutOfBounds {
             page: u32::MAX,
-            pages: self.col.file().map_or(1, PageFile::pages),
+            pages: self.col.file.pages,
         })?;
         self.col.page(self.pool, page)
-    }
-}
-
-/// The out-of-core counting backend: the [`crate::kernels`] streaming
-/// over spilled code pages through a capacity-bounded [`BufferPool`].
-///
-/// Column encoding happens exactly as in the encoded backend (one
-/// interning pass per column per table generation), but the per-row
-/// codes of a column longer than one page are spilled to a page file
-/// immediately and only the slim dictionary stays resident (a shorter
-/// column stays resident whole). A table mutation (generation bump)
-/// replaces the spill file and purges its pages from the pool; a
-/// spill or read failure degrades the probe to the `Value`-based
-/// reference semantics and increments
-/// [`BackendExecStats::fallback_failures`].
-pub struct PagedBackend {
-    pool: Arc<BufferPool>,
-    columns: RwLock<HashMap<(RelId, AttrId), Tagged<PagedColumn>>>,
-    /// Rehydrated full dictionaries of spilled columns for the
-    /// `column_dict()` seam — built on demand by streaming every page,
-    /// then cached per generation like any other derived structure.
-    hydrated: RwLock<HashMap<(RelId, AttrId), Tagged<ColumnDict>>>,
-    fallbacks: AtomicU64,
-    /// Streamed-ingest tables adopted from the persistent spill cache
-    /// (encode skipped entirely).
-    spill_hits: AtomicU64,
-    /// Streamed-ingest tables that had to encode (cold cache, or no
-    /// `--spill-dir` configured).
-    spill_misses: AtomicU64,
-}
-
-impl Default for PagedBackend {
-    fn default() -> Self {
-        PagedBackend::new()
-    }
-}
-
-impl PagedBackend {
-    /// A paged backend with the default 64 MiB buffer pool.
-    pub fn new() -> Self {
-        PagedBackend::with_pool(Arc::new(BufferPool::default()))
-    }
-
-    /// A paged backend whose pool holds at most `bytes` of page data.
-    pub fn with_capacity_bytes(bytes: usize) -> Self {
-        PagedBackend::with_pool(Arc::new(BufferPool::with_capacity_bytes(bytes)))
-    }
-
-    /// A paged backend over an explicit (possibly shared) pool.
-    pub fn with_pool(pool: Arc<BufferPool>) -> Self {
-        PagedBackend {
-            pool,
-            columns: RwLock::new(HashMap::new()),
-            hydrated: RwLock::new(HashMap::new()),
-            fallbacks: AtomicU64::new(0),
-            spill_hits: AtomicU64::new(0),
-            spill_misses: AtomicU64::new(0),
-        }
-    }
-
-    /// The backend's buffer pool.
-    pub fn pool(&self) -> &BufferPool {
-        &self.pool
-    }
-
-    /// The paged encoding of one column, spilled once per table
-    /// generation. A stale entry's pages are purged from the pool
-    /// before the replacement is adopted (invalidation by eviction).
-    pub fn paged_column(
-        &self,
-        db: &Database,
-        rel: RelId,
-        attr: AttrId,
-    ) -> Result<Arc<PagedColumn>, PageError> {
-        let gen = db.generation(rel);
-        let key = (rel, attr);
-        if let Some(entry) = read_recover(&self.columns).get(&key) {
-            if entry.gen == gen {
-                return Ok(Arc::clone(&entry.value));
-            }
-        }
-        // A streamed extension's rows exist only in the paged store —
-        // there is no in-memory column to (re-)encode from. A miss
-        // here means the adopted columns were invalidated (the table
-        // mutated); rebuilding from the empty in-memory column would
-        // silently encode zero rows.
-        if !db.table(rel).is_materialized() {
-            return Err(PageError::Io(format!(
-                "column {} of relation {} is a streamed extension with no spilled pages",
-                attr.0, rel.0
-            )));
-        }
-        let value = Arc::new(PagedColumn::from_dict(ColumnDict::build(
-            db.table(rel).column(attr),
-        ))?);
-        let mut columns = write_recover(&self.columns);
-        if let Some(entry) = columns.get(&key) {
-            if entry.gen == gen {
-                return Ok(Arc::clone(&entry.value));
-            }
-        }
-        if let Some(stale) = columns.insert(
-            key,
-            Tagged {
-                gen,
-                value: Arc::clone(&value),
-            },
-        ) {
-            stale.value.evict(&self.pool);
-        }
-        Ok(value)
-    }
-
-    fn attr_columns(
-        &self,
-        db: &Database,
-        rel: RelId,
-        attrs: &[AttrId],
-    ) -> Result<Vec<Arc<PagedColumn>>, PageError> {
-        attrs
-            .iter()
-            .map(|a| self.paged_column(db, rel, *a))
-            .collect()
-    }
-
-    /// The columns as kernel sources read through this backend's pool.
-    fn sources<'a>(&'a self, cols: &'a [Arc<PagedColumn>]) -> Vec<PagedSource<'a>> {
-        cols.iter()
-            .map(|c| PagedSource::new(c, &self.pool))
-            .collect()
-    }
-
-    fn note_fallback(&self) {
-        self.fallbacks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Degrades a failed probe to the reference path — unless one of
-    /// the involved tables is a streamed extension, where the
-    /// reference path would compute over *empty* in-memory columns. A
-    /// loud panic (caught and surfaced by the session's per-stage
-    /// isolation) beats a silently wrong answer.
-    fn note_fallback_or_die(&self, db: &Database, rels: &[RelId], err: &PageError) {
-        for &rel in rels {
-            assert!(
-                db.table(rel).is_materialized(),
-                "paged backend failed on a streamed extension with no in-memory fallback: {err}"
-            );
-        }
-        self.note_fallback();
-    }
-
-    /// Adopts a streamed-ingest table's columns: the spill files were
-    /// written (or loaded from the persistent cache) by
-    /// `import_csv_spilled`, so no encode pass runs here. Columns are
-    /// installed under the table's *current* generation; the spill
-    /// hit/miss counters record whether the cache skipped encode.
-    pub fn adopt_spilled(&self, db: &Database, rel: RelId, table: &SpilledTable) {
-        let gen = db.generation(rel);
-        let mut columns = write_recover(&self.columns);
-        for (i, col) in table.columns().iter().enumerate() {
-            let key = (rel, AttrId(i as u16));
-            if let Some(stale) = columns.insert(
-                key,
-                Tagged {
-                    gen,
-                    value: Arc::clone(col),
-                },
-            ) {
-                stale.value.evict(&self.pool);
-            }
-        }
-        drop(columns);
-        if table.from_cache() {
-            self.spill_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.spill_misses.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-impl CountBackend for PagedBackend {
-    fn name(&self) -> &'static str {
-        "paged"
-    }
-
-    fn count_distinct(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> usize {
-        let rows = db.table(rel).len();
-        let probe = self
-            .attr_columns(db, rel, attrs)
-            .and_then(|cols| kernels::count_distinct(&self.sources(&cols), rows));
-        match probe {
-            Ok(n) => n,
-            Err(e) => {
-                self.note_fallback_or_die(db, &[rel], &e);
-                db.table(rel).count_distinct(attrs)
-            }
-        }
-    }
-
-    fn join_stats(&self, db: &Database, join: &EquiJoin) -> JoinStats {
-        let probe = (|| -> Result<JoinStats, PageError> {
-            let lrows = db.table(join.left.rel).len();
-            let rrows = db.table(join.right.rel).len();
-            let lcols = self.attr_columns(db, join.left.rel, &join.left.attrs)?;
-            let rcols = self.attr_columns(db, join.right.rel, &join.right.attrs)?;
-            let lset = kernels::distinct_codes(&self.sources(&lcols), lrows)?;
-            let rset = kernels::distinct_codes(&self.sources(&rcols), rrows)?;
-            // The intersection kernel reads only dictionary lookups
-            // (`code_translation`, `code_of`), never per-row codes, so
-            // the slim dictionaries drive it unchanged.
-            let ldicts: Vec<&ColumnDict> = lcols.iter().map(|c| c.dict.as_ref()).collect();
-            let rdicts: Vec<&ColumnDict> = rcols.iter().map(|c| c.dict.as_ref()).collect();
-            let n_join = intersect_count(&ldicts, &lset, &rdicts, &rset);
-            Ok(JoinStats {
-                n_left: lset.len(),
-                n_right: rset.len(),
-                n_join,
-            })
-        })();
-        match probe {
-            Ok(s) => s,
-            Err(e) => {
-                self.note_fallback_or_die(db, &[join.left.rel, join.right.rel], &e);
-                join_stats(db, join)
-            }
-        }
-    }
-
-    fn lhs_groups(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> Arc<Vec<Vec<usize>>> {
-        let rows = db.table(rel).len();
-        let probe = self
-            .attr_columns(db, rel, attrs)
-            .and_then(|cols| kernels::lhs_groups(&self.sources(&cols), rows));
-        match probe {
-            Ok(groups) => Arc::new(groups),
-            Err(e) => {
-                self.note_fallback_or_die(db, &[rel], &e);
-                Arc::new(lhs_groups_reference(db, rel, attrs))
-            }
-        }
-    }
-
-    fn projection(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> Arc<HashSet<ProjKey>> {
-        let rows = db.table(rel).len();
-        let probe = self.attr_columns(db, rel, attrs).and_then(|cols| {
-            let set = kernels::distinct_codes(&self.sources(&cols), rows)?;
-            // Decoding touches only the decode tables of the slim
-            // dictionaries.
-            let dicts: Vec<&ColumnDict> = cols.iter().map(|c| c.dict.as_ref()).collect();
-            Ok(decode_set_cols(&dicts, &set))
-        });
-        match probe {
-            Ok(set) => Arc::new(set),
-            Err(e) => {
-                self.note_fallback_or_die(db, &[rel], &e);
-                Arc::new(db.table(rel).distinct_projection(attrs))
-            }
-        }
-    }
-
-    fn partition1(&self, db: &Database, rel: RelId, attr: AttrId) -> Arc<StrippedPartition> {
-        let probe = self
-            .paged_column(db, rel, attr)
-            .and_then(|col| kernels::partition1(PagedSource::new(&col, &self.pool), col.rows));
-        match probe {
-            Ok(p) => Arc::new(p),
-            Err(e) => {
-                self.note_fallback_or_die(db, &[rel], &e);
-                Arc::new(StrippedPartition::for_attribute(db.table(rel), attr))
-            }
-        }
-    }
-
-    fn fd_holds(&self, db: &Database, fd: &Fd) -> bool {
-        let rows = db.table(fd.rel).len();
-        let lhs: Vec<AttrId> = fd.lhs.iter().collect();
-        let rhs: Vec<AttrId> = fd.rhs.iter().collect();
-        let probe = (|| -> Result<bool, PageError> {
-            let lcols = self.attr_columns(db, fd.rel, &lhs)?;
-            let rcols = self.attr_columns(db, fd.rel, &rhs)?;
-            kernels::fd_holds(&self.sources(&lcols), &self.sources(&rcols), rows)
-        })();
-        match probe {
-            Ok(b) => b,
-            Err(e) => {
-                self.note_fallback_or_die(db, &[fd.rel], &e);
-                db.fd_holds(fd)
-            }
-        }
-    }
-
-    fn prewarm(&self, db: &Database, rel: RelId) {
-        // Spill every column while the rows are hot; a failed spill is
-        // retried (and fallback-counted) by whichever probe needs it.
-        let arity = db.table(rel).arity();
-        for i in 0..arity {
-            let _ = self.paged_column(db, rel, AttrId(i as u16));
-        }
-    }
-
-    fn column_dict(&self, db: &Database, rel: RelId, attr: AttrId) -> Option<Arc<ColumnDict>> {
-        let gen = db.generation(rel);
-        let key = (rel, attr);
-        if let Some(entry) = read_recover(&self.hydrated).get(&key) {
-            if entry.gen == gen {
-                return Some(Arc::clone(&entry.value));
-            }
-        }
-        let col = match self.paged_column(db, rel, attr) {
-            Ok(c) => c,
-            Err(e) => {
-                self.note_fallback_or_die(db, &[rel], &e);
-                return None;
-            }
-        };
-        if col.file().is_none() {
-            // A resident column already holds the full dictionary.
-            return Some(Arc::clone(&col.dict));
-        }
-        let codes = match col.read_all_codes(&self.pool) {
-            Ok(c) => c,
-            Err(e) => {
-                self.note_fallback_or_die(db, &[rel], &e);
-                return None;
-            }
-        };
-        let value = Arc::new(col.dict.rehydrate(codes));
-        let mut hydrated = write_recover(&self.hydrated);
-        if let Some(entry) = hydrated.get(&key) {
-            if entry.gen == gen {
-                return Some(Arc::clone(&entry.value));
-            }
-        }
-        hydrated.insert(
-            key,
-            Tagged {
-                gen,
-                value: Arc::clone(&value),
-            },
-        );
-        Some(value)
-    }
-
-    fn column_sketch(&self, db: &Database, rel: RelId, attr: AttrId) -> Option<Arc<ColumnSketch>> {
-        // The resident slim dictionary carries the whole value set and
-        // the fused counts — everything a sketch summarizes — so this
-        // never streams a single code page (unlike `column_dict`,
-        // which rehydrates the full column). Streamed-ingest columns
-        // loaded from a warm spill entry arrive with the sketch
-        // preseeded from persisted hashes. A spill failure simply
-        // yields no sketch: pruning is disabled, answers unchanged.
-        self.paged_column(db, rel, attr)
-            .ok()
-            .and_then(|col| col.dict.sketch())
-    }
-
-    fn exec_stats(&self) -> BackendExecStats {
-        BackendExecStats {
-            fallback_failures: self.fallbacks.load(Ordering::Relaxed),
-            ..BackendExecStats::default()
-        }
-    }
-
-    fn page_stats(&self) -> PageCacheStats {
-        self.pool.stats()
-    }
-
-    fn spill_stats(&self) -> SpillCacheStats {
-        SpillCacheStats {
-            hits: self.spill_hits.load(Ordering::Relaxed),
-            misses: self.spill_misses.load(Ordering::Relaxed),
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{EncodedBackend, ReferenceBackend};
-    use crate::deps::IndSide;
-    use crate::schema::Relation;
-    use crate::value::{Domain, Value};
-
-    fn sample_db() -> (Database, RelId, RelId) {
-        let mut db = Database::new();
-        let l = db
-            .add_relation(Relation::of("L", &[("a", Domain::Int), ("b", Domain::Int)]))
-            .unwrap();
-        let r = db
-            .add_relation(Relation::of("R", &[("c", Domain::Int)]))
-            .unwrap();
-        for (a, b) in [(1, 10), (1, 10), (2, 20), (3, 20), (4, 30)] {
-            db.insert(l, vec![Value::Int(a), Value::Int(b)]).unwrap();
-        }
-        db.insert(l, vec![Value::Null, Value::Int(40)]).unwrap();
-        for c in [1, 2, 3, 9] {
-            db.insert(r, vec![Value::Int(c)]).unwrap();
-        }
-        (db, l, r)
-    }
 
     #[test]
     fn page_file_round_trips_codes() {
@@ -1088,113 +621,6 @@ mod tests {
     }
 
     #[test]
-    fn paged_backend_matches_reference_and_encoded() {
-        let (db, l, r) = sample_db();
-        let reference = ReferenceBackend;
-        let encoded = EncodedBackend::new();
-        // One page worth of pool is enough for correctness.
-        let paged = PagedBackend::with_capacity_bytes(PAGE_BYTES);
-        let join = EquiJoin::try_new(IndSide::single(l, AttrId(0)), IndSide::single(r, AttrId(0)))
-            .unwrap();
-        for attrs in [vec![AttrId(0)], vec![AttrId(0), AttrId(1)]] {
-            assert_eq!(
-                paged.count_distinct(&db, l, &attrs),
-                reference.count_distinct(&db, l, &attrs)
-            );
-            assert_eq!(
-                *paged.lhs_groups(&db, l, &attrs),
-                *reference.lhs_groups(&db, l, &attrs)
-            );
-            assert_eq!(
-                *paged.projection(&db, l, &attrs),
-                *reference.projection(&db, l, &attrs)
-            );
-        }
-        assert_eq!(paged.join_stats(&db, &join), encoded.join_stats(&db, &join));
-        assert_eq!(
-            *paged.partition1(&db, l, AttrId(1)),
-            *reference.partition1(&db, l, AttrId(1))
-        );
-        assert_eq!(paged.exec_stats().fallback_failures, 0);
-        // One-page columns stay resident: no spill file, no pool
-        // traffic (multi_page_columns_stream_correctly covers both).
-        let col = paged.paged_column(&db, l, AttrId(0)).unwrap();
-        assert!(col.file().is_none(), "a one-page column must stay resident");
-        let stats = paged.page_stats();
-        assert_eq!(
-            stats.hits + stats.misses,
-            0,
-            "resident pages bypass the pool"
-        );
-    }
-
-    #[test]
-    fn mutation_invalidates_and_purges_pages() {
-        let (mut db, l, _) = sample_db();
-        let paged = PagedBackend::new();
-        assert_eq!(paged.count_distinct(&db, l, &[AttrId(0)]), 4);
-        let old = paged.paged_column(&db, l, AttrId(0)).unwrap();
-        db.insert(l, vec![Value::Int(99), Value::Int(1)]).unwrap();
-        assert_eq!(paged.count_distinct(&db, l, &[AttrId(0)]), 5);
-        let new = paged.paged_column(&db, l, AttrId(0)).unwrap();
-        assert!(
-            !Arc::ptr_eq(&old, &new),
-            "mutation must re-encode the column"
-        );
-    }
-
-    #[test]
-    fn column_dict_rehydrates_full_codes() {
-        let (db, l, _) = sample_db();
-        let paged = PagedBackend::new();
-        let dict = CountBackend::column_dict(&paged, &db, l, AttrId(0)).unwrap();
-        let direct = ColumnDict::build(db.table(l).column(AttrId(0)));
-        assert_eq!(dict.codes(), direct.codes());
-        assert_eq!(dict.cardinality(), direct.cardinality());
-        assert_eq!(dict.null_count(), direct.null_count());
-    }
-
-    #[test]
-    fn multi_page_columns_stream_correctly() {
-        // Enough rows for several pages, with NULLs and duplicates.
-        let mut db = Database::new();
-        let rel = db
-            .add_relation(Relation::of("T", &[("x", Domain::Int), ("y", Domain::Int)]))
-            .unwrap();
-        let rows = PAGE_CODES * 2 + 123;
-        for i in 0..rows {
-            let x = if i % 97 == 0 {
-                Value::Null
-            } else {
-                Value::Int((i % 1009) as i64)
-            };
-            db.insert(rel, vec![x, Value::Int((i % 31) as i64)])
-                .unwrap();
-        }
-        let reference = ReferenceBackend;
-        let paged = PagedBackend::with_capacity_bytes(PAGE_BYTES); // 1-page pool: constant churn
-        for attrs in [vec![AttrId(0)], vec![AttrId(1)], vec![AttrId(0), AttrId(1)]] {
-            assert_eq!(
-                paged.count_distinct(&db, rel, &attrs),
-                reference.count_distinct(&db, rel, &attrs),
-                "{attrs:?}"
-            );
-        }
-        assert_eq!(
-            *paged.lhs_groups(&db, rel, &[AttrId(1)]),
-            *reference.lhs_groups(&db, rel, &[AttrId(1)])
-        );
-        assert_eq!(
-            *paged.partition1(&db, rel, AttrId(0)),
-            *reference.partition1(&db, rel, AttrId(0))
-        );
-        assert!(paged.page_stats().evictions > 0, "1-page pool must churn");
-        let col = paged.paged_column(&db, rel, AttrId(0)).unwrap();
-        assert!(col.file().is_some(), "a multi-page column must be spilled");
-        assert_eq!(paged.exec_stats().fallback_failures, 0);
-    }
-
-    #[test]
     fn writer_streams_byte_identical_to_spill() {
         // The streaming writer must produce the exact on-disk format of
         // the materialize-then-spill path, byte for byte — the spill
@@ -1232,161 +658,5 @@ mod tests {
         );
         assert_eq!(streamed.pages(), 0);
         assert_eq!(streamed.rows(), 0);
-    }
-
-    #[test]
-    fn fd_holds_matches_reference() {
-        // Multi-page table where some FDs hold and some fail, with
-        // NULL-heavy LHS columns (NULL-LHS rows are exempt per the
-        // paper's SQL probe semantics).
-        let mut db = Database::new();
-        let rel = db
-            .add_relation(Relation::of(
-                "T",
-                &[
-                    ("a", Domain::Int),
-                    ("b", Domain::Int),
-                    ("c", Domain::Int),
-                    ("k", Domain::Int),
-                ],
-            ))
-            .unwrap();
-        let rows = PAGE_CODES + 517;
-        for i in 0..rows as i64 {
-            let a = if i % 13 == 0 {
-                Value::Null
-            } else {
-                Value::Int(i % 200)
-            };
-            // b is a function of a's code (holds), c is noisy (fails).
-            let b = Value::Int((i % 200) * 3);
-            let c = Value::Int(i % 7);
-            db.insert(rel, vec![a, b, c, Value::Int(i)]).unwrap();
-        }
-        let paged = PagedBackend::with_capacity_bytes(PAGE_BYTES);
-        let fd = |lhs: &[u16], rhs: &[u16]| Fd {
-            rel,
-            lhs: crate::attr::AttrSet::from_indices(lhs.iter().copied()),
-            rhs: crate::attr::AttrSet::from_indices(rhs.iter().copied()),
-        };
-        for (lhs, rhs) in [
-            (&[0u16][..], &[1u16][..]), // a → b: holds (NULL-a rows exempt)
-            (&[0], &[2]),               // a → c: fails
-            (&[1], &[0]),               // b → a: fails (NULL vs non-NULL under same b)
-            (&[0, 2], &[1]),            // ac → b: holds
-            (&[0, 1], &[2]),            // ab → c: fails
-            (&[3], &[0, 1, 2]),         // key → everything: holds
-            (&[], &[1]),                // {} → b: fails (b not constant)
-            (&[0], &[1, 2]),            // multi-RHS: fails because of c
-        ] {
-            let fd = fd(lhs, rhs);
-            assert_eq!(
-                CountBackend::fd_holds(&paged, &db, &fd),
-                db.fd_holds(&fd),
-                "lhs={lhs:?} rhs={rhs:?}"
-            );
-        }
-        // Constant RHS: {} → const holds without a scan.
-        let mut db2 = Database::new();
-        let r2 = db2
-            .add_relation(Relation::of("C", &[("u", Domain::Int), ("v", Domain::Int)]))
-            .unwrap();
-        for i in 0..10 {
-            db2.insert(r2, vec![Value::Int(i), Value::Int(7)]).unwrap();
-        }
-        let fd2 = Fd {
-            rel: r2,
-            lhs: crate::attr::AttrSet::empty(),
-            rhs: crate::attr::AttrSet::from_indices([1u16]),
-        };
-        assert!(CountBackend::fd_holds(&paged, &db2, &fd2));
-        assert!(db2.fd_holds(&fd2));
-        assert_eq!(paged.exec_stats().fallback_failures, 0);
-    }
-
-    #[test]
-    fn adopt_spilled_serves_streamed_extension() {
-        // A materialized twin provides the expected answers; the
-        // streamed database never holds the values in memory.
-        let mut twin = Database::new();
-        let spec = [("x", Domain::Int), ("y", Domain::Text)];
-        let trel = twin.add_relation(Relation::of("S", &spec)).unwrap();
-        let rows = PAGE_CODES + 77;
-        for i in 0..rows {
-            let x = if i % 11 == 0 {
-                Value::Null
-            } else {
-                Value::Int((i % 301) as i64)
-            };
-            twin.insert(trel, vec![x, Value::str(format!("s{}", i % 40))])
-                .unwrap();
-        }
-
-        // Spill the twin's columns by hand, as streaming ingest would.
-        let mut cols = Vec::new();
-        for a in [AttrId(0), AttrId(1)] {
-            let dict = ColumnDict::build(twin.table(trel).column(a));
-            let file = PageFile::spill(dict.codes()).unwrap();
-            cols.push(Arc::new(PagedColumn::new(Arc::new(dict.slim()), file)));
-        }
-        let spilled = crate::spill::SpilledTable::new(cols, rows, true);
-
-        let mut db = Database::new();
-        let rel = db.add_relation(Relation::of("S", &spec)).unwrap();
-        db.set_streamed_extension(rel, rows);
-        assert!(!db.table(rel).is_materialized());
-
-        let paged = PagedBackend::new();
-        paged.adopt_spilled(&db, rel, &spilled);
-        assert_eq!(
-            paged.spill_stats(),
-            crate::spill::SpillCacheStats { hits: 1, misses: 0 }
-        );
-
-        let reference = ReferenceBackend;
-        for attrs in [vec![AttrId(0)], vec![AttrId(1)], vec![AttrId(0), AttrId(1)]] {
-            assert_eq!(
-                paged.count_distinct(&db, rel, &attrs),
-                reference.count_distinct(&twin, trel, &attrs),
-                "{attrs:?}"
-            );
-        }
-        assert_eq!(
-            *paged.lhs_groups(&db, rel, &[AttrId(0)]),
-            *reference.lhs_groups(&twin, trel, &[AttrId(0)])
-        );
-        let fd = Fd {
-            rel,
-            lhs: crate::attr::AttrSet::from_indices([0u16]),
-            rhs: crate::attr::AttrSet::from_indices([1u16]),
-        };
-        let tfd = Fd {
-            rel: trel,
-            ..fd.clone()
-        };
-        assert_eq!(
-            CountBackend::fd_holds(&paged, &db, &fd),
-            twin.fd_holds(&tfd)
-        );
-        // The slim dictionaries still answer column_dict (rehydrated).
-        let dict = CountBackend::column_dict(&paged, &db, rel, AttrId(0)).unwrap();
-        let direct = ColumnDict::build(twin.table(trel).column(AttrId(0)));
-        assert_eq!(dict.codes(), direct.codes());
-        assert_eq!(paged.exec_stats().fallback_failures, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "streamed extension")]
-    fn streamed_extension_without_adoption_dies_instead_of_lying() {
-        // Without adopt_spilled there are no pages AND no in-memory
-        // values: the reference fallback would silently answer from an
-        // empty column. The backend must refuse.
-        let mut db = Database::new();
-        let rel = db
-            .add_relation(Relation::of("V", &[("x", Domain::Int)]))
-            .unwrap();
-        db.set_streamed_extension(rel, 5);
-        let paged = PagedBackend::new();
-        let _ = paged.count_distinct(&db, rel, &[AttrId(0)]);
     }
 }

@@ -45,7 +45,8 @@
 
 use crate::attr::AttrId;
 use crate::backend::{
-    read_recover, write_recover, BackendExecStats, CountBackend, EncodedBackend, Tagged,
+    cached, maintain, read_recover, write_recover, BackendExecStats, CountBackend, EncodedBackend,
+    TaggedCache,
 };
 use crate::counting::{EquiJoin, JoinStats};
 use crate::database::Database;
@@ -59,21 +60,12 @@ use crate::partitions::StrippedPartition;
 use crate::schema::RelId;
 use crate::sketch::ColumnSketch;
 use crate::table::ProjKey;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 #[cfg(doc)]
 use crate::backend::ReferenceBackend;
-
-/// Cached [`JoinStats`], valid while both side tables keep their
-/// generations.
-#[derive(Clone, Copy)]
-struct TaggedJoin {
-    left_gen: u64,
-    right_gen: u64,
-    stats: JoinStats,
-}
 
 /// Cheap observability counters, readable at any time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -87,7 +79,7 @@ pub struct StatsCounters {
 }
 
 /// A cache family: one generation-tagged entry per `(rel, attrs)` key.
-type AttrCache<T> = RwLock<HashMap<(RelId, Vec<AttrId>), Tagged<T>>>;
+type AttrCache<T> = TaggedCache<(RelId, Vec<AttrId>), T>;
 
 /// Memoized distinct-projection / partition / FD-group statistics over
 /// one [`Database`], decorating a [`CountBackend`] (see the module
@@ -111,7 +103,8 @@ pub struct StatsEngine {
     projections: AttrCache<HashSet<ProjKey>>,
     partitions: AttrCache<StrippedPartition>,
     lhs_groups: AttrCache<Vec<Vec<usize>>>,
-    joins: RwLock<HashMap<EquiJoin, TaggedJoin>>,
+    /// Join statistics, tagged with both side tables' generations.
+    joins: TaggedCache<EquiJoin, JoinStats, (u64, u64)>,
     hits: AtomicU64,
     misses: AtomicU64,
     rows_scanned: AtomicU64,
@@ -152,52 +145,37 @@ impl StatsEngine {
         self.backend.name()
     }
 
-    /// Serves `cache[key]` when its tag matches `gen`, otherwise runs
-    /// `build` and inserts. `build` returns the value plus the rows
-    /// scanned to produce it (charged to the counters on a miss only).
+    /// Serves `cache[key]` through the backends' shared tagged-cache
+    /// helper ([`cached`]) and charges the counters: a hit, or a miss
+    /// plus the rows `build` reports having scanned.
     ///
-    /// Cache keys can be shared across concurrent probes (parallel FD
-    /// checks share an LHS, parallel joins share a side), so after
-    /// building the entry is re-checked under the write lock: if a
-    /// concurrent prober beat us, its entry is adopted as a *hit* and
-    /// ours dropped. Counters then match the sequential schedule
-    /// exactly — one miss per cold key — keeping the `parallel`
-    /// feature's byte-identical-output guarantee. Building before
-    /// locking wastes the loser's pass but never serializes distinct
-    /// keys.
-    fn cached<K, T>(
+    /// A build that loses the race to a concurrent prober of the same
+    /// key is adopted as a *hit* (its rows uncharged), so counters
+    /// match the sequential schedule exactly — one miss per cold key —
+    /// keeping the `parallel` feature's byte-identical-output
+    /// guarantee.
+    fn cached<K, T, G: Eq>(
         &self,
-        cache: &RwLock<HashMap<K, Tagged<T>>>,
+        cache: &TaggedCache<K, T, G>,
         key: K,
-        gen: u64,
+        gen: G,
         build: impl FnOnce() -> (Arc<T>, u64),
     ) -> Arc<T>
     where
         K: std::hash::Hash + Eq,
     {
-        if let Some(entry) = read_recover(cache).get(&key) {
-            if entry.gen == gen {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(&entry.value);
-            }
+        let mut rows = 0;
+        let Ok((value, built)) = cached(cache, key, gen, || {
+            let (value, scanned) = build();
+            rows = scanned;
+            Ok::<_, std::convert::Infallible>(value)
+        });
+        if built {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            self.rows_scanned.fetch_add(rows, Ordering::Relaxed);
+        } else {
+            self.hits.fetch_add(1, Ordering::Relaxed);
         }
-        let (value, rows) = build();
-        let mut guard = write_recover(cache);
-        if let Some(entry) = guard.get(&key) {
-            if entry.gen == gen {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(&entry.value);
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.rows_scanned.fetch_add(rows, Ordering::Relaxed);
-        guard.insert(
-            key,
-            Tagged {
-                gen,
-                value: Arc::clone(&value),
-            },
-        );
         value
     }
 
@@ -230,34 +208,11 @@ impl StatsEngine {
     /// The three IND-Discovery cardinalities for `join`, memoized per
     /// join and valid while both side tables keep their generations.
     pub fn join_stats(&self, db: &Database, join: &EquiJoin) -> JoinStats {
-        let left_gen = db.generation(join.left.rel);
-        let right_gen = db.generation(join.right.rel);
-        if let Some(entry) = read_recover(&self.joins).get(join) {
-            if entry.left_gen == left_gen && entry.right_gen == right_gen {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return entry.stats;
-            }
-        }
-        let stats = self.backend.join_stats(db, join);
-        let mut joins = write_recover(&self.joins);
-        if let Some(entry) = joins.get(join) {
-            if entry.left_gen == left_gen && entry.right_gen == right_gen {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return entry.stats;
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.rows_scanned
-            .fetch_add(stats.n_left.min(stats.n_right) as u64, Ordering::Relaxed);
-        joins.insert(
-            join.clone(),
-            TaggedJoin {
-                left_gen,
-                right_gen,
-                stats,
-            },
-        );
-        stats
+        let gens = (db.generation(join.left.rel), db.generation(join.right.rel));
+        *self.cached(&self.joins, join.clone(), gens, || {
+            let stats = self.backend.join_stats(db, join);
+            (Arc::new(stats), stats.n_left.min(stats.n_right) as u64)
+        })
     }
 
     /// The stripped partition `π_{attr}` (mining convention:
@@ -323,8 +278,8 @@ impl StatsEngine {
     /// RHS-Discovery generates) only rescan the grouped rows.
     pub fn fd_holds(&self, db: &Database, fd: &Fd) -> bool {
         // A streamed extension has no raw RHS columns to compare —
-        // delegate the whole probe to the backend (the paged backend's
-        // one-pass witness check), which answers from the spilled
+        // delegate the whole probe to the backend, whose coded
+        // `kernels::fd_holds` witness pass answers from the spilled
         // pages.
         if !db.table(fd.rel).is_materialized() {
             return self.backend.fd_holds(db, fd);
@@ -515,43 +470,6 @@ impl StatsEngine {
     }
 }
 
-/// Rewrites one cache family for `rel` across a committed delta:
-/// entries tagged `old_gen` are fed to `step` and re-inserted under
-/// `new_gen` when it returns a maintained value; every other entry of
-/// `rel` (stale tags, shapes `step` declines) is evicted. Entries of
-/// other relations are untouched.
-fn maintain<T>(
-    cache: &AttrCache<T>,
-    rel: RelId,
-    old_gen: u64,
-    new_gen: u64,
-    mut step: impl FnMut(&[AttrId], &T) -> Option<T>,
-) {
-    let mut guard = write_recover(cache);
-    let keys: Vec<(RelId, Vec<AttrId>)> =
-        guard.keys().filter(|(r, _)| *r == rel).cloned().collect();
-    for key in keys {
-        let next = guard
-            .get(&key)
-            .filter(|e| e.gen == old_gen)
-            .and_then(|e| step(&key.1, &e.value));
-        match next {
-            Some(v) => {
-                guard.insert(
-                    key,
-                    Tagged {
-                        gen: new_gen,
-                        value: Arc::new(v),
-                    },
-                );
-            }
-            None => {
-                guard.remove(&key);
-            }
-        }
-    }
-}
-
 // Compile-time proof that the engine, every in-crate backend, the
 // buffer pool under them, and the snapshot types stay `Send + Sync` —
 // the concurrent service in `dbre-core` depends on it, and a stray
@@ -563,7 +481,7 @@ const _: () = {
     assert_send_sync::<StatsEngine>();
     assert_send_sync::<crate::backend::ReferenceBackend>();
     assert_send_sync::<EncodedBackend>();
-    assert_send_sync::<crate::pages::PagedBackend>();
+    assert_send_sync::<crate::backend::PagedBackend>();
     assert_send_sync::<crate::bufpool::BufferPool>();
     assert_send_sync::<crate::snapshot::SharedDb>();
     assert_send_sync::<crate::snapshot::DbSnapshot>();
@@ -666,6 +584,7 @@ mod tests {
         vec![
             StatsEngine::with_backend(Box::new(ReferenceBackend)),
             StatsEngine::with_backend(Box::new(EncodedBackend::new())),
+            StatsEngine::with_backend(Box::new(crate::backend::PagedBackend::new())),
         ]
     }
 

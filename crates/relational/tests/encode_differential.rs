@@ -20,7 +20,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use dbre_relational::attr::AttrId;
-use dbre_relational::backend::{CountBackend, EncodedBackend, ReferenceBackend};
+use dbre_relational::backend::{CountBackend, EncodedBackend, PagedBackend, ReferenceBackend};
 use dbre_relational::bufpool::BufferPool;
 use dbre_relational::counting::{join_stats, EquiJoin};
 use dbre_relational::database::Database;
@@ -203,16 +203,19 @@ impl Sources {
 // ---- properties -----------------------------------------------------
 
 proptest! {
-    /// `‖π_attrs‖`: kernel count = reference count (SQL skip-NULL).
+    /// `‖π_attrs‖`: the coded backends' count — the length of the
+    /// cached distinct-code set, resident and pooled — = reference
+    /// count (SQL skip-NULL).
     #[test]
     fn counts_agree(case in table_and_attrs()) {
         let (t, attrs) = case;
-        let s = Sources::new(&t);
         let expected = t.count_distinct(&attrs);
-        let Ok(ram) = kernels::count_distinct(&s.ram(&attrs), t.len());
-        prop_assert_eq!(ram, expected);
-        let paged = kernels::count_distinct(&s.paged(&attrs), t.len()).expect("pages read");
-        prop_assert_eq!(paged, expected);
+        let (db, rel) = db_of(&t);
+        let pooled = PagedBackend::with_pool(Arc::new(BufferPool::with_capacity_pages(1)));
+        let backends: [&dyn CountBackend; 2] = [&EncodedBackend::new(), &pooled];
+        for b in backends {
+            prop_assert_eq!(b.count_distinct(&db, rel, &attrs), expected, "{}", b.name());
+        }
     }
 
     /// Decoding the distinct code set recovers the reference

@@ -359,7 +359,7 @@ impl CountBackend for SqlBackend {
     }
 
     fn column_dict(&self, db: &Database, rel: RelId, attr: AttrId) -> Option<Arc<ColumnDict>> {
-        Some(EncodedBackend::column_dict(&self.encoded, db, rel, attr))
+        self.encoded.column_dict(db, rel, attr)
     }
 
     fn exec_stats(&self) -> BackendExecStats {

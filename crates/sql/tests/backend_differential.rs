@@ -21,12 +21,11 @@
 use std::sync::Arc;
 
 use dbre_relational::attr::AttrId;
-use dbre_relational::backend::{CountBackend, EncodedBackend, ReferenceBackend};
+use dbre_relational::backend::{CountBackend, EncodedBackend, PagedBackend, ReferenceBackend};
 use dbre_relational::bufpool::BufferPool;
 use dbre_relational::counting::EquiJoin;
 use dbre_relational::database::Database;
 use dbre_relational::deps::{Fd, IndSide};
-use dbre_relational::pages::PagedBackend;
 use dbre_relational::schema::{RelId, Relation};
 use dbre_relational::table::Table;
 use dbre_relational::value::{Domain, Value};
